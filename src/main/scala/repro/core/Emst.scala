@@ -83,9 +83,9 @@ object EmstGfk {
         var i = 0
         while (i < missing.size) { missing(i).edge = computed(i); i += 1 }
         // Conservative boundary: a large pair's eventual BCCP can undershoot
-        // its lower bound (hence rhoHi) by ulps, so keep a safety margin to
-        // preserve the non-decreasing batch order Kruskal relies on.
-        val cut = if (rhoHi.isInfinity) rhoHi else rhoHi - 1e-9 * (1.0 + rhoHi)
+        // its lower bound (hence rhoHi) by ulps, so cut `Wspd.slack` below it
+        // to preserve the non-decreasing batch order Kruskal relies on.
+        val cut = rhoHi - Wspd.slack(rhoHi)
         val (sl1, sl2) = sl.partition(_.edge.w <= cut)
         Kruskal.runBatch(sl1.map(_.edge), uf, out)
         // Filter: discard pairs already connected in the union-find.

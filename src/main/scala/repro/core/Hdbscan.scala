@@ -36,8 +36,4 @@ object Hdbscan {
     val res = MemoGfkEngine.mst(ctx, variant.sep, MutualReachMetric, par)
     HdbscanResult(res, cd)
   }
-
-  /** Brute-force mutual reachability distance — test/oracle helper. */
-  def mutualReachability(ps: PointSet, cd: Array[Double])(i: Int, j: Int): Double =
-    math.max(math.max(cd(i), cd(j)), ps.dist(i, j))
 }

@@ -10,6 +10,10 @@ final class PointSet(val coords: Array[Double], val dim: Int) extends Serializab
   require(dim > 0, s"dim must be positive, got $dim")
   require(coords.length % dim == 0,
     s"coords length ${coords.length} is not a multiple of dim $dim")
+  locally {
+    val bad = coords.indexWhere(x => x.isNaN || x.isInfinite)
+    require(bad < 0, s"point ${bad / dim} has non-finite coordinate ${bad % dim}: ${coords(bad)}")
+  }
 
   /** Number of points. */
   val n: Int = coords.length / dim

@@ -59,14 +59,11 @@ object SeqScheme extends ParScheme {
 
 /** Spark-backed execution: work items fan out over an RDD, shared state is
   * broadcast once per algorithm run, and executor threads (local[*]) access
-  * it through shared memory.
-  *
-  * @param slices number of RDD partitions per fan-out (defaults to
-  *               `defaultParallelism`)
+  * it through shared memory. Each fan-out uses `defaultParallelism` RDD
+  * partitions.
   */
-final class SparkScheme(@transient val sc: SparkContext, slicesOpt: Option[Int] = None)
-    extends ParScheme {
-  private val slices: Int = slicesOpt.getOrElse(sc.defaultParallelism)
+final class SparkScheme(@transient val sc: SparkContext) extends ParScheme {
+  private val slices: Int = sc.defaultParallelism
 
   override def name: String = s"spark[$slices]"
 

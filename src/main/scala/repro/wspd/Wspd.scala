@@ -142,21 +142,26 @@ case object MutualReachMetric extends Metric {
 
 /** WSPD construction and the MemoGFK pruned traversals (Algorithms 1 & 3).
   *
-  * Every traversal exists in one body that runs either fully sequentially
-  * or as a Spark fan-out: the top of the recursion is expanded breadth-first
-  * into independent (a, b) "FindPair" tasks, which executors then run
-  * against the broadcast [[Ctx]].
+  * Each traversal is one [[findPairsRec]] call per work item, with that
+  * traversal's emit and prune logic written once. The driver only cuts the
+  * top of the Algorithm-1 recursion into independent FindPair tasks
+  * ([[frontier]]) and combines the tasks' results by a min or a
+  * concatenation; no traversal work runs on the driver. Under `SeqScheme`
+  * the one task is the whole tree.
   */
 object Wspd extends Serializable {
 
-  /** Safety slack for the lb/ub *pruning* tests: the sphere-based bounds
-    * can over/undershoot the exact BCCP by a few ulps (e.g. in 1D the
-    * interval gap equals a point distance but is computed via centers and
-    * radii), so pruning must only fire when a bound is comfortably outside
-    * the window. The exact per-edge window test stays untouched, so the
-    * slack costs a little pruning but can never change the result.
+  /** Safety slack for comparing a sphere-based bound with a ρ window edge.
+    * The bounds can over/undershoot the exact BCCP by a few ulps (e.g. in
+    * 1D the interval gap equals a point distance but is computed via
+    * centers and radii), so a bound may only decide when it is comfortably
+    * past the edge: MemoGFK prunes only when lb/ub clear the window by the
+    * slack, and GFK's batch boundary sits the slack below ρ_hi. Exact edge
+    * weights are still compared without slack, so the slack costs a little
+    * pruning (or defers a few edges to the next GFK round) but can never
+    * change the result.
     */
-  @inline private def slack(x: Double): Double =
+  @inline def slack(x: Double): Double =
     if (x.isInfinity) 0.0 else 1e-9 * (1.0 + math.abs(x))
 
   /** True iff `lbVal` is comfortably at or above `rhoHi` (safe to prune). */
@@ -170,49 +175,38 @@ object Wspd extends Serializable {
   /** A pending FindPair(a, b) call; `a == b` encodes a WSPD(a) split call. */
   final case class Task(a: Int, b: Int) extends Serializable
 
-  /** Expands the Algorithm-1 recursion breadth-first until at least
-    * `target` independent tasks exist. `emit` receives pairs that become
-    * well-separated during expansion. `pruneNode`/`prunePair` allow
-    * MemoGFK-style cuts; both default to no pruning.
+  /** Cuts the Algorithm-1 recursion breadth-first into at least `target`
+    * independent tasks (fewer if the recursion runs out). It prunes and
+    * emits nothing: a well-separated pair stays a task, and a leaf split,
+    * which finds no pair, is dropped.
     */
-  private def expandFrontier(
-      c: Ctx,
-      sep: Sep,
-      target: Int,
-      emit: (Int, Int) => Unit,
-      pruneNode: Int => Boolean,
-      prunePair: (Int, Int) => Boolean,
-  ): IndexedSeq[Task] = {
+  private def frontier(c: Ctx, sep: Sep, target: Int): IndexedSeq[Task] = {
     val t = c.tree
-    val queue = scala.collection.mutable.Queue[Task](Task(t.root, t.root))
-    val ready = ArrayBuffer.empty[Task]
-    while (queue.nonEmpty && queue.size + ready.size < target) {
-      val Task(a, b) = queue.dequeue()
+    val open = scala.collection.mutable.Queue(Task(t.root, t.root))
+    val done = ArrayBuffer.empty[Task]
+    while (open.nonEmpty && open.size + done.size < target) {
+      val task @ Task(a, b) = open.dequeue()
       if (a == b) {
-        if (!t.isLeaf(a) && !pruneNode(a)) {
-          queue.enqueue(Task(t.left(a), t.left(a)))
-          queue.enqueue(Task(t.right(a), t.right(a)))
-          queue.enqueue(Task(t.left(a), t.right(a)))
-        }
-      } else if (!prunePair(a, b)) {
-        if (sep.wellSeparated(c, a, b)) emit(a, b)
-        else {
-          // Split the node with the larger bounding sphere (Algorithm 1).
-          val (p, q) = if (t.radius(a) >= t.radius(b)) (a, b) else (b, a)
-          queue.enqueue(Task(t.left(p), q))
-          queue.enqueue(Task(t.right(p), q))
-        }
+        if (!t.isLeaf(a))
+          open.enqueue(Task(t.left(a), t.left(a)), Task(t.right(a), t.right(a)),
+            Task(t.left(a), t.right(a)))
+      } else if (sep.wellSeparated(c, a, b)) done += task
+      else {
+        // Split the node with the larger bounding sphere (Algorithm 1).
+        val (p, q) = if (t.radius(a) >= t.radius(b)) (a, b) else (b, a)
+        open.enqueue(Task(t.left(p), q), Task(t.right(p), q))
       }
     }
-    (ready ++ queue).toIndexedSeq
+    (done ++ open).toIndexedSeq
   }
 
-  /** Sequential FindPair recursion body shared by every traversal. */
+  /** The FindPair recursion (Algorithm 1) from one task, shared by every
+    * traversal; `pruneNode`/`prunePair` are MemoGFK's cuts (Algorithm 3).
+    */
   private def findPairsRec(
       c: Ctx,
       sep: Sep,
-      a0: Int,
-      b0: Int,
+      task: Task,
       emit: (Int, Int) => Unit,
       pruneNode: Int => Boolean,
       prunePair: (Int, Int) => Boolean,
@@ -233,26 +227,19 @@ object Wspd extends Serializable {
         split(t.right(a))
         pair(t.left(a), t.right(a))
       }
-    if (a0 == b0) split(a0) else pair(a0, b0)
+    if (task.a == task.b) split(task.a) else pair(task.a, task.b)
   }
 
   /** Full WSPD of the tree (Algorithm 1): every well-separated pair under
-    * `sep`. Parallel under `par` via frontier fan-out.
+    * `sep`, gathered from the fan-out of [[frontier]] tasks under `par`.
     */
-  def allPairs(sc: Shared[Ctx], sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] = {
-    val c0 = sc.value
-    val head = ArrayBuffer.empty[(Int, Int)]
-    val tasks = expandFrontier(c0, sep, par.targetTasks,
-      (a, b) => head += ((a, b)), _ => false, (_, _) => false)
-    val rest = par.flatMapItems(tasks) { task =>
-      val c = sc.value
+  def allPairs(sc: Shared[Ctx], sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] =
+    par.flatMapItems(frontier(sc.value, sep, par.targetTasks)) { task =>
       val buf = ArrayBuffer.empty[(Int, Int)]
-      findPairsRec(c, sep, task.a, task.b, (a, b) => buf += ((a, b)),
+      findPairsRec(sc.value, sep, task, (a, b) => buf += ((a, b)),
         _ => false, (_, _) => false)
       buf.toSeq
     }
-    (head ++ rest).toIndexedSeq
-  }
 
   /** Per-node union-find purity: `nodeComp(a)` is the component root if all
     * points under `a` share one component, else -1. Recomputed each GFK
@@ -283,6 +270,9 @@ object Wspd extends Serializable {
   /** MemoGFK's GetRho (Algorithm 3, line 4): a lower bound on the weight of
     * every edge that a not-yet-connected well-separated pair of cardinality
     * greater than `beta` can produce. Infinity if no such pair remains.
+    * The sphere `lb` is not monotone under kd-tree refinement, so the value
+    * (always the `lb` of one such pair) depends on the visit order, hence
+    * on `par.targetTasks`; every value it can take is a valid bound.
     */
   def getRho(
       sc: Shared[Ctx],
@@ -291,11 +281,13 @@ object Wspd extends Serializable {
       beta: Long,
       scomp: Shared[Array[Int]],
       par: ParScheme,
-  ): Double = {
-    def localRho(c: Ctx, comp: Array[Int], a0: Int, b0: Int, init: Double): Double = {
+  ): Double =
+    par.mapItems(frontier(sc.value, sep, par.targetTasks)) { task =>
+      val c = sc.value
       val t = c.tree
-      var rho = init
-      findPairsRec(c, sep, a0, b0,
+      val comp = scomp.value
+      var rho = Double.PositiveInfinity
+      findPairsRec(c, sep, task,
         emit = (a, b) => {
           if (t.size(a).toLong + t.size(b) > beta) {
             val l = metric.lb(c, a, b)
@@ -309,23 +301,7 @@ object Wspd extends Serializable {
           metric.lb(c, a, b) >= rho
         })
       rho
-    }
-    val c0 = sc.value
-    val comp0 = scomp.value
-    var headRho = Double.PositiveInfinity
-    val t0 = c0.tree
-    val tasks = expandFrontier(c0, sep, par.targetTasks,
-      emit = (a, b) =>
-        if (t0.size(a).toLong + t0.size(b) > beta) {
-          val l = metric.lb(c0, a, b)
-          if (l < headRho) headRho = l
-        },
-      pruneNode = a => comp0(a) >= 0,
-      prunePair = (a, b) => comp0(a) >= 0 && comp0(a) == comp0(b))
-    val seed = headRho
-    val locals = par.mapItems(tasks)(task => localRho(sc.value, scomp.value, task.a, task.b, seed))
-    (locals :+ headRho).min
-  }
+    }.foldLeft(Double.PositiveInfinity)(math.min)
 
   /** Pack a node pair into one Long cache key. */
   @inline def pairKey(a: Int, b: Int): Long = (a.toLong << 32) | (b.toLong & 0xffffffffL)
@@ -358,16 +334,13 @@ object Wspd extends Serializable {
       scache: Shared[java.util.HashMap[Long, Edge]],
       par: ParScheme,
   ): PairsRound = {
-    def run(
-        c: Ctx,
-        comp: Array[Int],
-        cache: java.util.HashMap[Long, Edge],
-        a0: Int,
-        b0: Int,
-        out: ArrayBuffer[Edge],
-        fresh: ArrayBuffer[(Long, Edge)],
-    ): Unit =
-      findPairsRec(c, sep, a0, b0,
+    val rounds = par.mapItems(frontier(sc.value, sep, par.targetTasks)) { task =>
+      val c = sc.value
+      val comp = scomp.value
+      val cache = scache.value
+      val out = ArrayBuffer.empty[Edge]
+      val fresh = ArrayBuffer.empty[(Long, Edge)]
+      findPairsRec(c, sep, task,
         emit = (a, b) => {
           // Bounds may not exclude the pair, but the exact BCCP decides.
           val key = pairKey(a, b)
@@ -389,30 +362,8 @@ object Wspd extends Serializable {
           lbPrunes(metric.lb(c, a, b), rhoHi) ||
           ubPrunes(metric.ub(c, a, b), rhoLo)
         })
-    val c0 = sc.value
-    val comp0 = scomp.value
-    val headEdges = ArrayBuffer.empty[Edge]
-    val headFresh = ArrayBuffer.empty[(Long, Edge)]
-    val headPairs = ArrayBuffer.empty[(Int, Int)]
-    val tasks = expandFrontier(c0, sep, par.targetTasks,
-      emit = (a, b) => headPairs += ((a, b)),
-      pruneNode = a => comp0(a) >= 0,
-      prunePair = (a, b) => {
-        (comp0(a) >= 0 && comp0(a) == comp0(b)) ||
-        lbPrunes(metric.lb(c0, a, b), rhoHi) ||
-        ubPrunes(metric.ub(c0, a, b), rhoLo)
-      })
-    headPairs.foreach { case (a, b) =>
-      run(c0, comp0, scache.value, a, b, headEdges, headFresh)
+      (out.toIndexedSeq, fresh.toIndexedSeq)
     }
-    val rest = par.flatMapItems(tasks) { task =>
-      val out = ArrayBuffer.empty[Edge]
-      val fresh = ArrayBuffer.empty[(Long, Edge)]
-      run(sc.value, scomp.value, scache.value, task.a, task.b, out, fresh)
-      Seq((out.toIndexedSeq, fresh.toIndexedSeq))
-    }
-    PairsRound(
-      (headEdges ++ rest.flatMap(_._1)).toIndexedSeq,
-      (headFresh ++ rest.flatMap(_._2)).toIndexedSeq)
+    PairsRound(rounds.flatMap(_._1), rounds.flatMap(_._2))
   }
 }

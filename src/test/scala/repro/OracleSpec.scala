@@ -102,22 +102,4 @@ class OracleSpec extends SparkSpec {
       "cds" -> cdDf,
       "edges" -> edgeDf.selectExpr("u", "v"))
   }
-
-  test("provided SynthData generators agree with DuckDB on a sample aggregate") {
-    import org.apache.spark.sql.functions._
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val got = li
-      .filter(col("l_discount") > 0.05)
-      .groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), round(sum("l_quantity"), 1).as("qty"))
-      .select(col("l_returnflag"), col("cnt"), col("qty"))
-    Oracle.assertEquivalent(
-      got,
-      """SELECT l_returnflag, count(*) AS cnt,
-        |       round(sum(CAST(l_quantity AS DOUBLE)), 1) AS qty
-        |FROM lineitem
-        |WHERE CAST(l_discount AS DOUBLE) > 0.05
-        |GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
-  }
 }

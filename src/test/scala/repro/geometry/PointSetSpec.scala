@@ -44,6 +44,20 @@ class PointSetSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new PointSet(new Array[Double](4), 0))
   }
 
+  test("constructor rejects a NaN coordinate, naming the point") {
+    val coords = TestUtil.randomPoints(50, 2, seed = 4).coords.clone()
+    coords(2 * 17 + 1) = Double.NaN
+    val e = intercept[IllegalArgumentException](new PointSet(coords, 2))
+    assert(e.getMessage.contains("point 17 has non-finite coordinate 1"), e.getMessage)
+  }
+
+  test("fromRows rejects an infinite coordinate, naming the point") {
+    val rows = Seq.tabulate(50)(i => Array(i.toDouble, 1.0, 2.0))
+    rows(31)(0) = Double.NegativeInfinity
+    val e = intercept[IllegalArgumentException](PointSet.fromRows(rows))
+    assert(e.getMessage.contains("point 31 has non-finite coordinate 0"), e.getMessage)
+  }
+
   test("point(i) returns an independent copy") {
     val ps = TestUtil.randomPoints(5, 2, seed = 3)
     val p = ps.point(1)

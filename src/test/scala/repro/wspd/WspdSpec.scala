@@ -1,11 +1,30 @@
 package repro.wspd
 
+import scala.reflect.ClassTag
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
 import repro.kdtree.KdTree
 import repro.mst.UnionFind
-import repro.par.SeqScheme
+import repro.par.{ParScheme, SeqScheme, Shared}
+
+/** Runs every fan-out sequentially but asks for `width` tasks, so the WSPD
+  * frontier is cut as wide as under a parallel scheme, without Spark.
+  */
+final case class WideSeqScheme(width: Int) extends ParScheme {
+  override def name: String = s"seq-wide[$width]"
+
+  override def mapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => B): IndexedSeq[B] =
+    SeqScheme.mapItems(items)(f)
+
+  override def flatMapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => Seq[B]): IndexedSeq[B] =
+    SeqScheme.flatMapItems(items)(f)
+
+  override def share[T: ClassTag](v: T): Shared[T] = SeqScheme.share(v)
+
+  override def targetTasks: Int = width
+}
 
 class WspdSpec extends AnyFunSuite {
 
@@ -191,6 +210,63 @@ class WspdSpec extends AnyFunSuite {
     val edges = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
       0.0, Double.PositiveInfinity, scomp, freshCache, SeqScheme).edges
     assert(edges.isEmpty)
+  }
+
+  private val wideSchemes = Seq(2, 7, 64, 100000).map(WideSeqScheme)
+
+  /** n uniform 2D points whose first third is chained into one component. */
+  private def partlyJoined(n: Int): (Ctx, Shared[Ctx], Shared[Array[Int]]) = {
+    val c = euclidCtx(n, 2, 16L + n)
+    val uf = new UnionFind(n)
+    (0 until n / 3).foreach(i => uf.union(i, i + 1))
+    (c, SeqScheme.share(c), SeqScheme.share(Wspd.nodeComponents(c.tree, uf.snapshot())))
+  }
+
+  test("allPairs at every frontier width equals the sequential WSPD") {
+    for (n <- Seq(1, 2, 90, 400)) {
+      val (_, sc, _) = partlyJoined(n)
+      val want = Wspd.allPairs(sc, GeometricSep(2.0), SeqScheme).sorted
+      for (par <- wideSchemes)
+        assert(Wspd.allPairs(sc, GeometricSep(2.0), par).sorted == want, s"n=$n ${par.name}")
+    }
+  }
+
+  test("getPairs at every frontier width equals the sequential round") {
+    for (n <- Seq(1, 2, 90, 400)) {
+      val (_, sc, scomp) = partlyJoined(n)
+      def round(lo: Double, hi: Double, par: ParScheme) = {
+        val r = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric, lo, hi, scomp, freshCache, par)
+        (r.edges.sorted, r.newCacheEntries.sortBy(_._1))
+      }
+      val ws = round(0.0, Double.PositiveInfinity, SeqScheme)._1.map(_.w)
+      val partial = if (ws.isEmpty) (0.0, 1.0) else (ws(ws.length / 4), ws(3 * ws.length / 4))
+      for ((lo, hi) <- Seq((0.0, Double.PositiveInfinity), partial)) {
+        val want = round(lo, hi, SeqScheme)
+        for (par <- wideSchemes)
+          assert(round(lo, hi, par) == want, s"n=$n [$lo, $hi) ${par.name}")
+      }
+    }
+  }
+
+  test("getRho at every frontier width is the lb of a large unconnected pair and bounds their BCCPs") {
+    // Not equal across widths: the sphere lb is not monotone under
+    // refinement, so the `lb >= rho` prune depends on the visit order.
+    for (n <- Seq(1, 2, 90, 400); beta <- Seq(2L, 8L, 64L)) {
+      val (c, sc, scomp) = partlyJoined(n)
+      val comp = scomp.value
+      val large = Wspd.allPairs(sc, GeometricSep(2.0), SeqScheme).filter { case (a, b) =>
+        c.tree.size(a).toLong + c.tree.size(b) > beta && !(comp(a) >= 0 && comp(a) == comp(b))
+      }
+      for (par <- SeqScheme +: wideSchemes) {
+        val rho = Wspd.getRho(sc, GeometricSep(2.0), EuclidMetric, beta, scomp, par)
+        val at = s"n=$n beta=$beta ${par.name} rho=$rho"
+        if (large.isEmpty) assert(rho.isPosInfinity, at)
+        else {
+          assert(large.exists { case (a, b) => math.abs(EuclidMetric.lb(c, a, b) - rho) < 1e-9 }, at)
+          large.foreach { case (a, b) => assert(rho <= EuclidMetric.bccp(c, a, b).w + 1e-9, at) }
+        }
+      }
+    }
   }
 }
 
