@@ -1,8 +1,9 @@
 package repro.core
 
-import java.util.concurrent.{ForkJoinPool, RecursiveTask}
+import java.util.concurrent.{ForkJoinPool, ForkJoinTask, RecursiveAction}
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 import repro.mst.{Edge, UnionFind}
 
@@ -12,9 +13,9 @@ import repro.mst.{Edge, UnionFind}
   * node corresponding to MST edge `i` (every internal node of a dendrogram
   * corresponds to exactly one tree edge, so edge index doubles as node id —
   * this also lets the parallel builder fill disjoint slots without
-  * synchronization). `root` is the final merge. The in-order traversal of
-  * the leaves equals Prim's visit order from the chosen start vertex, which
-  * is what makes it *ordered*.
+  * synchronization). `root` is the final merge, or leaf 0 when n = 1. The
+  * in-order traversal of the leaves equals Prim's visit order from the
+  * chosen start vertex, which is what makes it *ordered*.
   */
 final class Dendrogram(
     val n: Int,
@@ -53,27 +54,18 @@ final class Dendrogram(
     require(count == n, s"dendrogram traversal visited $count of $n leaves")
     (order, bars)
   }
-
-  /** Height (edge weight) of each internal node, indexed by edge id. */
-  def heights: Array[Double] = weight.clone()
 }
 
 object Dendrogram {
 
-  /** Internal edge record: `u`/`v` are the original endpoints (used for the
-    * in-order left/right rule), `cu`/`cv` the current contracted endpoints
-    * (light components collapse to one vertex in the heavy subproblem),
-    * `node` the dendrogram node id this edge will become.
-    */
-  private final case class DEdge(u: Int, v: Int, cu: Int, cv: Int, w: Double, node: Int)
-
-  private val dEdgeOrdering: Ordering[DEdge] =
-    Ordering.by((e: DEdge) => (e.w, math.min(e.u, e.v), math.max(e.u, e.v)))
+  /** §4.2 splits off the heaviest tenth (rounded up) of each subproblem. */
+  private val HeavyShare = 10
 
   /** Unweighted distance from every vertex to `s` along the tree (§4.2's
     * vertex distances), by BFS.
     */
   def vertexDistances(n: Int, edges: IndexedSeq[Edge], s: Int): Array[Int] = {
+    require(s >= 0 && s < n, s"start vertex $s is outside [0, $n)")
     val adj = Array.fill(n)(List.empty[Int])
     edges.foreach { e =>
       adj(e.u) = e.v :: adj(e.u)
@@ -93,147 +85,125 @@ object Dendrogram {
     dist
   }
 
-  /** Sequential ordered-dendrogram construction: process edges in
-    * increasing weight, merging clusters bottom-up (the classic
-    * union-find algorithm), with the §4.2 ordering rule — the subtree
-    * holding the endpoint with smaller vertex distance becomes the left
-    * child. This is the reference implementation and the sub-problem
-    * base case of the parallel algorithm.
+  /** Sequential ordered-dendrogram construction: merges clusters bottom-up
+    * in increasing edge weight (union-find), with the §4.2 ordering rule:
+    * the subtree of the endpoint with the smaller vertex distance goes left.
+    * The reference that the parallel builder must equal.
     */
   def buildSequential(n: Int, edges: IndexedSeq[Edge], s: Int): Dendrogram = {
-    val vdist = vertexDistances(n, edges, s)
-    val left = new Array[Int](n - 1)
-    val right = new Array[Int](n - 1)
-    val weight = new Array[Double](n - 1)
-    val dEdges = edges.zipWithIndex.map { case (e, i) =>
-      DEdge(e.u, e.v, e.u, e.v, e.w, n + i)
-    }
-    val root = buildRange(n, dEdges.sorted(dEdgeOrdering), identity, vdist, left, right, weight)
-    new Dendrogram(n, left, right, weight, root)
+    val st = new State(n, edges, s)
+    st.merge(0, n - 1)
+    st.result()
   }
 
-  /** Parallel top-down construction (§4.2): split off the heaviest tenth of
-    * the edges, build the dendrograms of the light connected components in
-    * parallel (fork-join — the shared-memory parallelism of the paper's
-    * Cilk implementation), contract each light component to a single vertex
-    * for the heavy subproblem, recurse on it, and attach the light roots at
-    * the corresponding heavy leaves. Falls back to the sequential
-    * construction below `cutoff` edges.
+  /** Parallel top-down construction (§4.2) over index ranges of the one
+    * sorted edge order: split off the heaviest tenth of a range, build its
+    * light connected components in parallel (fork-join, like the paper's
+    * Cilk code), then recurse on the heavy rest, which sees each light
+    * component as one cluster of the shared union-find: a contraction
+    * that copies no edge. Ranges of at most `cutoff` (≥ 1) edges run the
+    * sequential kernel. Equals [[buildSequential]] node for node.
     */
-  def buildParallel(
-      n: Int,
-      edges: IndexedSeq[Edge],
-      s: Int,
-      cutoff: Int = 1024,
-      heavyFraction: Double = 0.1,
-  ): Dendrogram = {
-    val vdist = vertexDistances(n, edges, s)
-    val left = new Array[Int](n - 1)
-    val right = new Array[Int](n - 1)
-    val weight = new Array[Double](n - 1)
-    val dEdges = edges.zipWithIndex.map { case (e, i) =>
-      DEdge(e.u, e.v, e.u, e.v, e.w, n + i)
-    }
-    val pool = ForkJoinPool.commonPool()
-    val root = pool.invoke(new BuildTask(n, dEdges, identity, vdist, left, right, weight,
-      cutoff, heavyFraction))
-    new Dendrogram(n, left, right, weight, root)
+  def buildParallel(n: Int, edges: IndexedSeq[Edge], s: Int, cutoff: Int = 1024): Dendrogram = {
+    require(cutoff >= 1, s"cutoff must be at least 1, got $cutoff")
+    val st = new State(n, edges, s)
+    ForkJoinPool.commonPool().invoke(new Build(st, 0, n - 1, cutoff))
+    st.result()
   }
 
-  /** Bottom-up base case over an arbitrary edge subset. `leafOf` maps a
-    * contracted vertex to the dendrogram node standing in for it (a point
-    * leaf at the top level; a light-subproblem root inside the heavy
-    * recursion). Returns the subproblem's root node.
+  /** State of both builders: `order`, the edge ids sorted once by
+    * `Edge.ordering`; a path-halving union-find `parent` over vertex ids,
+    * whose cluster root `r` stands for dendrogram node `node(r)`; and a
+    * second union-find `comp` for [[regroup]]. Concurrent tasks own distinct
+    * light components, hence disjoint union-find paths: no locks needed.
     */
-  private def buildRange(
-      n: Int,
-      sorted: IndexedSeq[DEdge],
-      leafOf: Int => Int,
-      vdist: Array[Int],
-      left: Array[Int],
-      right: Array[Int],
-      weight: Array[Double],
-  ): Int = {
-    val parent = mutable.HashMap.empty[Int, Int]
-    def find(x: Int): Int = {
+  private final class State(n: Int, edges: IndexedSeq[Edge], s: Int) {
+    require(edges.size == n - 1, s"a tree on $n vertices has ${n - 1} edges, got ${edges.size}")
+    private val vdist = vertexDistances(n, edges, s)
+    private val order = Array.range(0, n - 1).sortBy(edges)(Edge.ordering)
+    private val parent = Array.range(0, n)
+    private val node = Array.range(0, n)
+    private val comp = new Array[Int](n)
+    private val left = new Array[Int](n - 1)
+    private val right = new Array[Int](n - 1)
+    private val weight = new Array[Double](n - 1)
+
+    private def find(uf: Array[Int], x: Int): Int = {
       var r = x
-      while (parent.getOrElse(r, r) != r) r = parent(r)
-      var c = x
-      while (parent.getOrElse(c, c) != c) { val nxt = parent(c); parent(c) = r; c = nxt }
+      while (uf(r) != r) { uf(r) = uf(uf(r)); r = uf(r) } // path halving
       r
     }
-    val clusterNode = mutable.HashMap.empty[Int, Int]
-    var last = -1
-    sorted.foreach { e =>
-      val ru = find(e.cu)
-      val rv = find(e.cv)
-      require(ru != rv, s"cycle in dendrogram input at edge (${e.u},${e.v})")
-      val nu = clusterNode.getOrElse(ru, leafOf(ru))
-      val nv = clusterNode.getOrElse(rv, leafOf(rv))
-      val i = e.node - n
-      // Ordering rule: the side of the endpoint nearer the start goes left.
-      if (vdist(e.u) <= vdist(e.v)) { left(i) = nu; right(i) = nv }
-      else { left(i) = nv; right(i) = nu }
-      weight(i) = e.w
-      parent(ru) = rv // merge
-      clusterNode(rv) = e.node
-      last = e.node
+    private def cluster(v: Int): Int = find(parent, v)
+
+    /** The kernel: merges what `order(lo until hi)` joins, in order; edge `i` is node `n + i`. */
+    def merge(lo: Int, hi: Int): Unit =
+      for (k <- lo until hi) {
+        val i = order(k)
+        val e = edges(i)
+        val ru = cluster(e.u)
+        val rv = cluster(e.v)
+        if (vdist(e.u) <= vdist(e.v)) { left(i) = node(ru); right(i) = node(rv) }
+        else { left(i) = node(rv); right(i) = node(ru) }
+        weight(i) = e.w
+        parent(ru) = rv
+        node(rv) = n + i
+      }
+
+    /** Stable-regroups `order(lo until hi)` so each connected component of
+      * its edges over the current clusters is contiguous; returns each
+      * component's end, ascending. `comp` is reset on the touched clusters
+      * and joined; then `comp(r) = ~c` numbers root `r`'s component `c`.
+      */
+    def regroup(lo: Int, hi: Int): Array[Int] = {
+      val ids = order.slice(lo, hi)
+      def reset(v: Int): Unit = { val r = cluster(v); comp(r) = r }
+      for (i <- ids) { reset(edges(i).u); reset(edges(i).v) }
+      for (i <- ids) comp(find(comp, cluster(edges(i).u))) = find(comp, cluster(edges(i).v))
+      var count = 0
+      val label = ids.map(i => find(comp, cluster(edges(i).u))).map { r =>
+        if (comp(r) >= 0) { comp(r) = ~count; count += 1 }
+        ~comp(r)
+      }
+      val ends = new Array[Int](count) // each component's size, then start, then end
+      label.foreach(c => ends(c) += 1)
+      var start = lo
+      for (c <- ends.indices) { val size = ends(c); ends(c) = start; start += size }
+      for (j <- ids.indices) { order(ends(label(j))) = ids(j); ends(label(j)) += 1 }
+      ends
     }
-    require(last >= 0, "empty edge set has no dendrogram")
-    last
+
+    def result(): Dendrogram = new Dendrogram(n, left, right, weight, node(cluster(0)))
   }
 
-  /** Fork-join task for one (sub)problem of the top-down recursion. */
-  private final class BuildTask(
-      n: Int,
-      edges: IndexedSeq[DEdge],
-      leafOf: Int => Int,
-      vdist: Array[Int],
-      left: Array[Int],
-      right: Array[Int],
-      weight: Array[Double],
-      cutoff: Int,
-      heavyFraction: Double,
-  ) extends RecursiveTask[Int] {
-
-    override def compute(): Int = {
-      if (edges.size <= cutoff)
-        return buildRange(n, edges.sorted(dEdgeOrdering), leafOf, vdist, left, right, weight)
-
-      val sorted = edges.sorted(dEdgeOrdering)
-      val nHeavy = math.max(1, math.ceil(edges.size * heavyFraction).toInt)
-      val lightEdges = sorted.dropRight(nHeavy)
-      val heavyEdges = sorted.takeRight(nHeavy)
-
-      // Light connected components over contracted endpoints.
-      val uf = new mutable.HashMap[Int, Int]
-      def find(x: Int): Int = {
-        var r = x
-        while (uf.getOrElse(r, r) != r) r = uf(r)
-        var c = x
-        while (uf.getOrElse(c, c) != c) { val nxt = uf(c); uf(c) = r; c = nxt }
-        r
+  /** One §4.2 subproblem: `order(lo until hi)`, a weight-sorted tree over
+    * the current clusters. A light component of more than `cutoff` edges
+    * recurses; smaller ones are packed, in order, into tasks of at least
+    * `cutoff` edges, merged whole since a pack is not one sorted tree.
+    */
+  private final class Build(st: State, lo: Int, hi: Int, cutoff: Int) extends RecursiveAction {
+    override def compute(): Unit =
+      if (hi - lo <= cutoff) st.merge(lo, hi)
+      else {
+        val mid = hi - (hi - lo + HeavyShare - 1) / HeavyShare
+        val tasks = mutable.ArrayBuffer.empty[Build]
+        var packed = lo // start of the pack being filled
+        def pack(until: Int): Unit = {
+          if (packed < until) tasks += new Build(st, packed, until, Int.MaxValue)
+          packed = until
+        }
+        var start = lo
+        for (end <- st.regroup(lo, mid)) {
+          if (end - start > cutoff) {
+            pack(start)
+            tasks += new Build(st, start, end, cutoff)
+            packed = end
+          } else if (end - packed >= cutoff) pack(end)
+          start = end
+        }
+        pack(mid)
+        ForkJoinTask.invokeAll(tasks.asJava)
+        new Build(st, mid, hi, cutoff).compute()
       }
-      lightEdges.foreach { e =>
-        val ru = find(e.cu); val rv = find(e.cv)
-        if (ru != rv) uf(ru) = rv
-      }
-      val groups = lightEdges.groupBy(e => find(e.cu))
-
-      // Build each light component in parallel.
-      val tasks = groups.toIndexedSeq.map { case (comp, ge) =>
-        (comp, new BuildTask(n, ge, leafOf, vdist, left, right, weight, cutoff, heavyFraction))
-      }
-      tasks.foreach(_._2.fork())
-      val lightRoot = tasks.map { case (comp, t) => comp -> t.join() }.toMap
-
-      // Heavy subproblem: light components contract to their UF roots,
-      // whose stand-in nodes are the light dendrogram roots.
-      val contracted = heavyEdges.map(e => e.copy(cu = find(e.cu), cv = find(e.cv)))
-      val leafOf2: Int => Int = v => lightRoot.getOrElse(v, leafOf(v))
-      new BuildTask(n, contracted, leafOf2, vdist, left, right, weight, cutoff, heavyFraction)
-        .compute()
-    }
   }
 
   /** DBSCAN* clustering at a given ε from the HDBSCAN* MST and core

@@ -72,7 +72,7 @@ class DendrogramSpec extends AnyFunSuite {
   }
 
   test("parallel dendrogram equals sequential node-for-node") {
-    for (seed <- Seq(6L, 7L); cutoff <- Seq(4, 16, 64)) {
+    for (seed <- Seq(6L, 7L); cutoff <- Seq(1, 4, 16, 64)) {
       val ps = TestUtil.randomPoints(200, 2, seed)
       val mst = TestUtil.bruteEmst(ps)
       val seq = Dendrogram.buildSequential(ps.n, mst, s = 0)
@@ -109,6 +109,41 @@ class DendrogramSpec extends AnyFunSuite {
     val (order, bars) = d.reachabilityPlot()
     assert(order.sameElements(Array(0, 1)))
     assert(bars(0).isPosInfinity && bars(1) == 3.0)
+  }
+
+  test("dendrogram at n=1 is the single leaf, from both builders") {
+    for (d <- Seq(Dendrogram.buildSequential(1, IndexedSeq.empty, s = 0),
+                  Dendrogram.buildParallel(1, IndexedSeq.empty, s = 0))) {
+      assert(d.root == 0 && d.left.isEmpty && d.right.isEmpty && d.weight.isEmpty)
+      val (order, bars) = d.reachabilityPlot()
+      assert(order.sameElements(Array(0)))
+      assert(bars.length == 1 && bars(0).isPosInfinity)
+    }
+  }
+
+  private val path3 = IndexedSeq(Edge(0, 1, 1.0), Edge(1, 2, 2.0))
+  private val builders: Seq[(Int, IndexedSeq[Edge], Int) => Dendrogram] =
+    Seq(Dendrogram.buildSequential, Dendrogram.buildParallel(_, _, _))
+
+  test("both builders reject a start vertex outside [0, n), naming it") {
+    for (build <- builders) {
+      val e = intercept[IllegalArgumentException](build(3, path3, 5))
+      assert(e.getMessage.contains("start vertex 5 is outside [0, 3)"))
+      intercept[IllegalArgumentException](build(3, path3, -1))
+    }
+  }
+
+  test("both builders reject an edge count other than n - 1, naming it") {
+    for (build <- builders) {
+      val e = intercept[IllegalArgumentException](build(4, path3, 0))
+      assert(e.getMessage.contains("a tree on 4 vertices has 3 edges, got 2"))
+      intercept[IllegalArgumentException](build(2, path3, 0))
+    }
+  }
+
+  test("parallel builder rejects a cutoff below 1, naming it") {
+    val e = intercept[IllegalArgumentException](Dendrogram.buildParallel(3, path3, 0, cutoff = 0))
+    assert(e.getMessage.contains("cutoff must be at least 1, got 0"))
   }
 
   test("dendrogram handles a path graph with increasing weights (worst case)") {
