@@ -18,10 +18,11 @@ object CoreDist {
       val chunks = chunkRanges(n, par.targetTasks * 4)
       val parts = par.mapItems(chunks) { case (lo, hi) =>
         val t = sharedTree.value
+        val heap = new Array[Double](minPts) // per item: tasks run concurrently
         val out = new Array[Double](hi - lo)
         var i = lo
         while (i < hi) {
-          out(i - lo) = t.kNearestDistances(i, minPts).last
+          out(i - lo) = t.kthNearestDistance(i, minPts, heap)
           i += 1
         }
         out

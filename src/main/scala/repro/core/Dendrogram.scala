@@ -66,22 +66,40 @@ object Dendrogram {
     */
   def vertexDistances(n: Int, edges: IndexedSeq[Edge], s: Int): Array[Int] = {
     require(s >= 0 && s < n, s"start vertex $s is outside [0, $n)")
-    val adj = Array.fill(n)(List.empty[Int])
-    edges.foreach { e =>
-      adj(e.u) = e.v :: adj(e.u)
-      adj(e.v) = e.u :: adj(e.v)
+    // CSR adjacency: v's neighbours are nbr(off(v) until off(v + 1)). Count
+    // degrees, prefix-sum them into block ends, then fill each block back to
+    // front. While loops, not closures, on this per-edge path.
+    val off = new Array[Int](n + 1)
+    val m = edges.size
+    var i = 0
+    while (i < m) { val e = edges(i); off(e.u) += 1; off(e.v) += 1; i += 1 }
+    var v = 1
+    while (v <= n) { off(v) += off(v - 1); v += 1 }
+    val nbr = new Array[Int](off(n))
+    i = 0
+    while (i < m) {
+      val e = edges(i)
+      off(e.u) -= 1; nbr(off(e.u)) = e.v
+      off(e.v) -= 1; nbr(off(e.v)) = e.u
+      i += 1
     }
     val dist = Array.fill(n)(-1)
-    val queue = new mutable.ArrayDeque[Int]
+    val queue = new Array[Int](n) // each vertex is enqueued at most once
+    var head = 0
+    var tail = 1
     dist(s) = 0
-    queue.append(s)
-    while (queue.nonEmpty) {
-      val u = queue.removeHead()
-      adj(u).foreach { v =>
-        if (dist(v) < 0) { dist(v) = dist(u) + 1; queue.append(v) }
+    queue(0) = s
+    while (head < tail) {
+      val u = queue(head)
+      head += 1
+      var j = off(u)
+      while (j < off(u + 1)) {
+        val w = nbr(j)
+        if (dist(w) < 0) { dist(w) = dist(u) + 1; queue(tail) = w; tail += 1 }
+        j += 1
       }
     }
-    require(dist.forall(_ >= 0), "input edges do not form a connected tree")
+    require(tail == n, "input edges do not form a connected tree")
     dist
   }
 
@@ -112,15 +130,16 @@ object Dendrogram {
   }
 
   /** State of both builders: `order`, the edge ids sorted once by
-    * `Edge.ordering`; a path-halving union-find `parent` over vertex ids,
-    * whose cluster root `r` stands for dendrogram node `node(r)`; and a
-    * second union-find `comp` for [[regroup]]. Concurrent tasks own distinct
-    * light components, hence disjoint union-find paths: no locks needed.
+    * `Edge.ordering` (with [[Edge.sortedIds]]); a path-halving union-find
+    * `parent` over vertex ids, whose cluster root `r` stands for dendrogram
+    * node `node(r)`; and a second union-find `comp` for [[regroup]].
+    * Concurrent tasks own distinct light components, hence disjoint
+    * union-find paths: no locks needed.
     */
   private final class State(n: Int, edges: IndexedSeq[Edge], s: Int) {
     require(edges.size == n - 1, s"a tree on $n vertices has ${n - 1} edges, got ${edges.size}")
     private val vdist = vertexDistances(n, edges, s)
-    private val order = Array.range(0, n - 1).sortBy(edges)(Edge.ordering)
+    private val order = Edge.sortedIds(edges)
     private val parent = Array.range(0, n)
     private val node = Array.range(0, n)
     private val comp = new Array[Int](n)

@@ -81,12 +81,14 @@ final class KdTree(
   def sphereMaxDist(a: Int, b: Int): Double =
     centerDist(a, b) + radius(a) + radius(b)
 
-  /** Squared distance from an arbitrary query point to node `a`'s box. */
-  def boxDist2(a: Int, q: Array[Double]): Double = {
+  /** Squared distance from an arbitrary query point, `q(qOff until
+    * qOff + dim)`, to node `a`'s box.
+    */
+  def boxDist2(a: Int, q: Array[Double], qOff: Int = 0): Double = {
     var s = 0.0
     var k = 0
     while (k < dim) {
-      val v = q(k)
+      val v = q(qOff + k)
       val lo = boxMin(a * dim + k)
       val hi = boxMax(a * dim + k)
       val d = if (v < lo) lo - v else if (v > hi) v - hi else 0.0
@@ -96,58 +98,49 @@ final class KdTree(
     s
   }
 
+  /** Distance (self included, which is 0) from point `qi` to its `k`-th
+    * nearest neighbor: the HDBSCAN* core distance for `k` = minPts.
+    * Standard branch-and-bound descent, the nearer child first. `heap` is
+    * the caller's scratch (length ≥ k, contents ignored); on return
+    * `heap(0 until k)` is a max-heap of the `k` smallest squared distances.
+    */
+  def kthNearestDistance(qi: Int, k: Int, heap: Array[Double]): Double = {
+    require(k >= 1 && k <= points.n, s"kNN: requested $k neighbors of ${points.n} points")
+    require(heap.length >= k, s"kNN: heap of ${heap.length} slots for $k neighbors")
+    knnVisit(root, qi, k, heap, 0)
+    math.sqrt(heap(0))
+  }
+
+  /** Visits node `a` for [[kthNearestDistance]]; `size` is the number of
+    * heap entries so far, and the new count is returned.
+    */
+  private def knnVisit(a: Int, qi: Int, k: Int, heap: Array[Double], size: Int): Int =
+    if (isLeaf(a)) {
+      var sz = size
+      var i = lo(a)
+      while (i < hi(a)) {
+        sz = KdTree.heapPush(heap, sz, k, points.dist2(perm(i), qi))
+        i += 1
+      }
+      sz
+    } else {
+      val l = left(a); val r = right(a)
+      val dl = boxDist2(l, points.coords, qi * dim)
+      val dr = boxDist2(r, points.coords, qi * dim)
+      val nearLeft = dl <= dr
+      val sz = knnVisit(if (nearLeft) l else r, qi, k, heap, size)
+      if (sz < k || (if (nearLeft) dr else dl) < heap(0)) knnVisit(if (nearLeft) r else l, qi, k, heap, sz)
+      else sz
+    }
+
   /** Distances (including self, which is 0) from point `qi` to its `k`
-    * nearest neighbors, in non-decreasing order. Standard branch-and-bound
-    * descent; used for HDBSCAN* core distances (cd = last element).
+    * nearest neighbors, in non-decreasing order: the heap of
+    * [[kthNearestDistance]], square-rooted and sorted.
     */
   def kNearestDistances(qi: Int, k: Int): Array[Double] = {
-    val q = points.point(qi)
-    // Bounded max-heap of the k best squared distances.
-    val heap = new Array[Double](k)
-    var heapSize = 0
-    def heapTop: Double = heap(0)
-    def heapPush(v: Double): Unit = {
-      if (heapSize < k) {
-        heap(heapSize) = v; heapSize += 1
-        var c = heapSize - 1
-        while (c > 0 && heap((c - 1) / 2) < heap(c)) {
-          val p = (c - 1) / 2
-          val t = heap(p); heap(p) = heap(c); heap(c) = t
-          c = p
-        }
-      } else if (v < heap(0)) {
-        heap(0) = v
-        var p = 0
-        var done = false
-        while (!done) {
-          val l = 2 * p + 1; val r = 2 * p + 2
-          var m = p
-          if (l < k && heap(l) > heap(m)) m = l
-          if (r < k && heap(r) > heap(m)) m = r
-          if (m == p) done = true
-          else { val t = heap(m); heap(m) = heap(p); heap(p) = t; p = m }
-        }
-      }
-    }
-    def visit(a: Int): Unit = {
-      if (isLeaf(a)) {
-        var i = lo(a)
-        while (i < hi(a)) {
-          heapPush(points.dist2(perm(i), qi))
-          i += 1
-        }
-      } else {
-        val l = left(a); val r = right(a)
-        val dl = boxDist2(l, q); val dr = boxDist2(r, q)
-        val (first, second, dSecond) = if (dl <= dr) (l, r, dr) else (r, l, dl)
-        visit(first)
-        if (heapSize < k || dSecond < heapTop) visit(second)
-      }
-    }
-    visit(root)
-    require(heapSize == k, s"kNN: requested $k neighbors but only $heapSize points")
-    val out = heap.take(k).map(math.sqrt).sorted
-    out
+    val heap = new Array[Double](math.max(k, 0))
+    kthNearestDistance(qi, k, heap)
+    heap.map(math.sqrt).sorted
   }
 
   /** Point ids under node `a` (copy; for tests and small-scale code). */
@@ -239,6 +232,36 @@ object KdTree {
     buildRange(0, n)
     new KdTree(ps, perm, loA, hiA, leftA, rightA, bMin, bMax, nNodes)
   }
+
+  /** Pushes `v` into the bounded max-heap `heap(0 until size)` of
+    * capacity `k`; returns the new size. A full heap keeps the `k` smallest.
+    */
+  private def heapPush(heap: Array[Double], size: Int, k: Int, v: Double): Int =
+    if (size < k) {
+      heap(size) = v
+      var c = size
+      while (c > 0 && heap((c - 1) / 2) < heap(c)) {
+        val p = (c - 1) / 2
+        val t = heap(p); heap(p) = heap(c); heap(c) = t
+        c = p
+      }
+      size + 1
+    } else {
+      if (v < heap(0)) {
+        heap(0) = v
+        var p = 0
+        var done = false
+        while (!done) {
+          val l = 2 * p + 1; val r = 2 * p + 2
+          var m = p
+          if (l < k && heap(l) > heap(m)) m = l
+          if (r < k && heap(r) > heap(m)) m = r
+          if (m == p) done = true
+          else { val t = heap(m); heap(m) = heap(p); heap(p) = t; p = m }
+        }
+      }
+      size
+    }
 
   /** Per-node min and max core distance (cd_min(A), cd_max(A) of Table 1),
     * computed bottom-up given per-point core distances. Valid because

@@ -9,14 +9,15 @@ import scala.collection.mutable.ArrayBuffer
   */
 object Kruskal {
 
-  /** Processes one batch. Sorts the batch, then scans it, joining
-    * components and appending tree edges to `out`.
+  /** Processes one batch. Sorts the batch's edge ids by `Edge.ordering`
+    * with the primitive-key [[Edge.sortedIds]], then scans the edges in that
+    * order, joining components and appending tree edges to `out`.
     */
   def runBatch(batch: IndexedSeq[Edge], uf: UnionFind, out: ArrayBuffer[Edge]): Unit = {
-    val sorted = batch.sorted(Edge.ordering)
+    val ids = Edge.sortedIds(batch)
     var i = 0
-    while (i < sorted.length) {
-      val e = sorted(i)
+    while (i < ids.length) {
+      val e = batch(ids(i))
       if (uf.union(e.u, e.v)) out += e
       i += 1
     }

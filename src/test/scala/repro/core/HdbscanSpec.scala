@@ -7,6 +7,7 @@ import repro.geometry.Generators
 import repro.kdtree.KdTree
 import repro.mst.UnionFind
 import repro.par.SeqScheme
+import repro.wspd.WideSeqScheme
 
 class CoreDistSpec extends AnyFunSuite {
 
@@ -40,6 +41,15 @@ class CoreDistSpec extends AnyFunSuite {
     val cd = CoreDist.compute(KdTree.build(ps), 3, SeqScheme)
     (0 until 5).foreach(i => assert(cd(i) == 0.0))
     assert(cd(5) > 0.0)
+  }
+
+  test("core distances are bitwise equal under every fan-out width") {
+    for (ps <- Seq(TestUtil.randomPoints(300, 3, 4), TestUtil.pointsWithDuplicates(200, 2, 5)); minPts <- Seq(1, 10)) {
+      val tree = KdTree.build(ps)
+      val want = CoreDist.compute(tree, minPts, SeqScheme)
+      for (par <- Seq(7, 64).map(WideSeqScheme))
+        assert(CoreDist.compute(tree, minPts, par).sameElements(want), s"${par.name} minPts=$minPts")
+    }
   }
 
   test("compute rejects invalid minPts") {

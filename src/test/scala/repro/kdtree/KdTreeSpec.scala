@@ -131,6 +131,22 @@ class KdTreeSpec extends AnyFunSuite {
   test("kNearestDistances rejects k larger than n") {
     val t = KdTree.build(TestUtil.randomPoints(10, 2, 13))
     intercept[IllegalArgumentException](t.kNearestDistances(0, 11))
+    val e = intercept[IllegalArgumentException](t.kthNearestDistance(0, 11, new Array[Double](11)))
+    assert(e.getMessage.contains("requested 11 neighbors of 10 points"))
+  }
+
+  test("kthNearestDistance equals kNearestDistances(k).last bit for bit") {
+    val sets = Seq(
+      "uniform" -> TestUtil.randomPoints(150, 3, seed = 23),
+      "duplicates" -> TestUtil.pointsWithDuplicates(120, 3, seed = 33))
+    for ((name, ps) <- sets; leafSize <- Seq(1, 8)) {
+      val t = KdTree.build(ps, leafSize)
+      val heap = new Array[Double](ps.n) // reused: stale scratch must not leak
+      for (k <- Seq(1, 5, ps.n); qi <- 0 until ps.n) {
+        val got = t.kthNearestDistance(qi, k, heap)
+        assert(got == t.kNearestDistances(qi, k).last, s"$name leaf=$leafSize k=$k qi=$qi")
+      }
+    }
   }
 
   test("coreDistStats computes per-node min/max core distance") {

@@ -70,6 +70,34 @@ class EdgeSpec extends AnyFunSuite {
   test("edge ordering is orientation-independent") {
     assert(Edge.ordering.compare(Edge(1, 3, 2.0), Edge(3, 1, 2.0)) == 0)
   }
+
+  test("sortedIds orders edges exactly as the stable sorted(Edge.ordering)") {
+    val rnd = new java.util.Random(17)
+    def randomEdges(m: Int, weight: => Double): IndexedSeq[Edge] =
+      IndexedSeq.fill(m)(Edge(rnd.nextInt(1000), rnd.nextInt(1000), weight))
+    val byWeight = randomEdges(100000, rnd.nextDouble()).sorted(Edge.ordering)
+    val batches = Seq(
+      "empty" -> IndexedSeq.empty[Edge],
+      "one" -> IndexedSeq(Edge(4, 2, 1.0)),
+      "two, reversed" -> IndexedSeq(Edge(0, 1, 2.0), Edge(1, 2, 1.0)),
+      "full tie, both orientations" -> IndexedSeq(Edge(3, 1, 1.0), Edge(1, 3, 1.0), Edge(0, 5, 1.0), Edge(1, 3, 1.0)),
+      "0.0, -0.0 and +inf" -> IndexedSeq(
+        Edge(0, 1, 0.0), Edge(2, 3, Double.PositiveInfinity), Edge(4, 5, -0.0),
+        Edge(1, 0, -0.0), Edge(6, 7, 0.0), Edge(3, 2, Double.PositiveInfinity)),
+      "all-equal weights" -> randomEdges(1000, 2.5),
+      "integer-tied weights" -> randomEdges(100000, rnd.nextInt(5).toDouble),
+      "already sorted" -> byWeight,
+      "reverse sorted" -> byWeight.reverse,
+      "random" -> randomEdges(100000, rnd.nextDouble()),
+    ) ++ Seq(31, 32, 33, 63, 64, 65, 97).map(m => s"random $m" -> randomEdges(m, rnd.nextInt(8).toDouble))
+    for ((name, es) <- batches) {
+      val ids = Edge.sortedIds(es)
+      assert(ids.toSeq.map(es) == es.sorted(Edge.ordering), name)
+      // Equal edges are indistinguishable above, so check the ids keep input order too.
+      val want = es.indices.sortBy(es)(Edge.ordering)
+      assert(ids.toSeq == want, name)
+    }
+  }
 }
 
 class KruskalSpec extends AnyFunSuite {
