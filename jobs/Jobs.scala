@@ -53,7 +53,8 @@ object Table2Job {
     val n = JobRunner.baseN(args)
     val emst = Harness.emstTable(spark, n)
     val hd = Harness.hdbscanTable(spark, n)
-    Harness.report("table2_speedups.txt", Harness.formatSpeedups(Harness.speedupTable(emst, hd)))
+    val boruvka = Harness.mlpackTable(n)
+    Harness.report("table2_speedups.txt", Harness.formatSpeedups(Harness.speedupTable(emst, hd, boruvka)))
     JobRunner.stop(spark, owned)
   }
 }

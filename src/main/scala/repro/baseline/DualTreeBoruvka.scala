@@ -53,7 +53,7 @@ object DualTreeBoruvka {
         // Fully inside one component: no outgoing edge here.
         if (comp(q) >= 0 && comp(q) == comp(r)) return
         if (q != r) {
-          val gap = tree.sphereDist(q, r)
+          val gap = tree.sphereDist(q, r, tree.centerDist(q, r))
           if (gap >= bound(q) && gap >= bound(r)) return
         }
         if (tree.isLeaf(q) && tree.isLeaf(r)) {

@@ -71,7 +71,7 @@ object EmstGfk {
         // Lower bound on every edge a large-cardinality pair can produce.
         var rhoHi = Double.PositiveInfinity
         su.foreach { p =>
-          val l = EuclidMetric.lb(ctx, p.a, p.b)
+          val l = EuclidMetric.lb(ctx, p.a, p.b, tree.centerDist(p.a, p.b))
           if (l < rhoHi) rhoHi = l
         }
         // Compute the missing BCCPs of the small pairs in parallel.

@@ -15,6 +15,10 @@ import repro.geometry.PointSet
   * identical) the range is split in half by count so construction always
   * terminates. The default leaf size is 1, as required for the WSPD to
   * consist of genuinely well-separated pairs.
+  *
+  * The build also stores each node's box center and circumscribing-sphere
+  * radius, so the separation and bound tests of the WSPD traversals read
+  * them instead of looping over the box on every visit.
   */
 final class KdTree(
     val points: PointSet,
@@ -25,6 +29,8 @@ final class KdTree(
     val right: Array[Int],
     val boxMin: Array[Double],
     val boxMax: Array[Double],
+    centers: Array[Double],
+    radii: Array[Double],
     val nNodes: Int,
 ) extends Serializable {
 
@@ -38,21 +44,15 @@ final class KdTree(
   /** Number of points under node `a`. */
   @inline def size(a: Int): Int = hi(a) - lo(a)
 
-  /** Center coordinate `k` of node `a`'s bounding box. */
-  @inline def center(a: Int, k: Int): Double =
-    0.5 * (boxMin(a * dim + k) + boxMax(a * dim + k))
+  /** Center coordinate `k` of node `a`'s bounding box (stored by
+    * [[KdTree.build]]).
+    */
+  @inline def center(a: Int, k: Int): Double = centers(a * dim + k)
 
-  /** Radius of the bounding sphere circumscribing node `a`'s box. */
-  def radius(a: Int): Double = {
-    var s = 0.0
-    var k = 0
-    while (k < dim) {
-      val w = boxMax(a * dim + k) - boxMin(a * dim + k)
-      s += w * w
-      k += 1
-    }
-    0.5 * math.sqrt(s)
-  }
+  /** Radius of the bounding sphere circumscribing node `a`'s box (stored by
+    * [[KdTree.build]]).
+    */
+  @inline def radius(a: Int): Double = radii(a)
 
   /** Diameter of node `a`'s bounding sphere (the paper's A_diam). */
   @inline def diameter(a: Int): Double = 2.0 * radius(a)
@@ -70,16 +70,17 @@ final class KdTree(
   }
 
   /** The paper's d(A,B): minimum distance between the bounding spheres of
-    * `a` and `b`, clamped at 0. A lower bound on any cross distance.
+    * `a` and `b`, clamped at 0. A lower bound on any cross distance. `cd`
+    * is `centerDist(a, b)`, which a traversal computes once per pair.
     */
-  def sphereDist(a: Int, b: Int): Double =
-    math.max(0.0, centerDist(a, b) - radius(a) - radius(b))
+  @inline def sphereDist(a: Int, b: Int, cd: Double): Double =
+    math.max(0.0, cd - radius(a) - radius(b))
 
   /** Upper bound on any distance between a point of `a` and a point of `b`
-    * (the d_max(A,B) of Figure 3).
+    * (the d_max(A,B) of Figure 3); `cd` is `centerDist(a, b)`.
     */
-  def sphereMaxDist(a: Int, b: Int): Double =
-    centerDist(a, b) + radius(a) + radius(b)
+  @inline def sphereMaxDist(a: Int, b: Int, cd: Double): Double =
+    cd + radius(a) + radius(b)
 
   /** Squared distance from an arbitrary query point, `q(qOff until
     * qOff + dim)`, to node `a`'s box.
@@ -164,12 +165,15 @@ object KdTree {
     val rightA = new Array[Int](maxNodes)
     val bMin = new Array[Double](maxNodes * dim)
     val bMax = new Array[Double](maxNodes * dim)
+    val ctr = new Array[Double](maxNodes * dim)
+    val rad = new Array[Double](maxNodes)
     var nNodes = 0
 
     def newNode(lo: Int, hi: Int): Int = {
       val a = nNodes
       nNodes += 1
       loA(a) = lo; hiA(a) = hi; leftA(a) = -1; rightA(a) = -1
+      var s = 0.0
       var k = 0
       while (k < dim) {
         var mn = Double.PositiveInfinity
@@ -183,8 +187,12 @@ object KdTree {
         }
         bMin(a * dim + k) = mn
         bMax(a * dim + k) = mx
+        ctr(a * dim + k) = 0.5 * (mn + mx)
+        val w = mx - mn
+        s += w * w
         k += 1
       }
+      rad(a) = 0.5 * math.sqrt(s)
       a
     }
 
@@ -230,7 +238,7 @@ object KdTree {
 
     require(n > 0, "empty point set")
     buildRange(0, n)
-    new KdTree(ps, perm, loA, hiA, leftA, rightA, bMin, bMax, nNodes)
+    new KdTree(ps, perm, loA, hiA, leftA, rightA, bMin, bMax, ctr, rad, nNodes)
   }
 
   /** Pushes `v` into the bounded max-heap `heap(0 until size)` of

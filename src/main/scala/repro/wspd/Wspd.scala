@@ -28,9 +28,11 @@ object Ctx {
   }
 }
 
-/** Well-separation criterion (stateless, reads everything from [[Ctx]]). */
+/** Well-separation criterion (stateless, reads everything from [[Ctx]]).
+  * `cd` is `c.tree.centerDist(a, b)`, computed once per visited pair.
+  */
 sealed trait Sep extends Serializable {
-  def wellSeparated(c: Ctx, a: Int, b: Int): Boolean
+  def wellSeparated(c: Ctx, a: Int, b: Int, cd: Double): Boolean
 }
 
 /** Classic Callahan–Kosaraju separation with constant `s`: the gap between
@@ -38,9 +40,9 @@ sealed trait Sep extends Serializable {
   * paper's s = 2 this is exactly d(A,B) >= max(A_diam, B_diam).
   */
 final case class GeometricSep(s: Double = 2.0) extends Sep {
-  override def wellSeparated(c: Ctx, a: Int, b: Int): Boolean = {
+  override def wellSeparated(c: Ctx, a: Int, b: Int, cd: Double): Boolean = {
     val t = c.tree
-    t.sphereDist(a, b) >= s * math.max(t.radius(a), t.radius(b))
+    t.sphereDist(a, b, cd) >= s * math.max(t.radius(a), t.radius(b))
   }
 }
 
@@ -52,35 +54,36 @@ case object MutualUnreachableSep extends Sep {
   private val geom = GeometricSep(2.0)
 
   /** max{d(A,B), cd_min(A), cd_min(B)} >= max{A_diam, B_diam, cd_max(A), cd_max(B)} */
-  def mutuallyUnreachable(c: Ctx, a: Int, b: Int): Boolean = {
+  def mutuallyUnreachable(c: Ctx, a: Int, b: Int, cd: Double): Boolean = {
     val t = c.tree
-    val lhs = math.max(t.sphereDist(a, b), math.max(c.cdMin(a), c.cdMin(b)))
+    val lhs = math.max(t.sphereDist(a, b, cd), math.max(c.cdMin(a), c.cdMin(b)))
     val rhs = math.max(math.max(t.diameter(a), t.diameter(b)),
                        math.max(c.cdMax(a), c.cdMax(b)))
     lhs >= rhs
   }
 
-  override def wellSeparated(c: Ctx, a: Int, b: Int): Boolean =
-    geom.wellSeparated(c, a, b) || mutuallyUnreachable(c, a, b)
+  override def wellSeparated(c: Ctx, a: Int, b: Int, cd: Double): Boolean =
+    geom.wellSeparated(c, a, b, cd) || mutuallyUnreachable(c, a, b, cd)
 }
 
 /** Distance notion for pair edges: Euclidean BCCP or mutual-reachability
   * BCCP* — with the lower/upper bounds MemoGFK's pruned traversals need
   * (Figure 3: lb == the paper's d(A,B) analogue, ub == d_max(A,B)).
   * The pruning invariant is that lb/ub bracket the weight of EVERY cross
-  * pair of (A,B) — hence of every descendant pair's BCCP.
+  * pair of (A,B) — hence of every descendant pair's BCCP. `cd` is
+  * `c.tree.centerDist(a, b)`.
   */
 sealed trait Metric extends Serializable {
-  def lb(c: Ctx, a: Int, b: Int): Double
-  def ub(c: Ctx, a: Int, b: Int): Double
+  def lb(c: Ctx, a: Int, b: Int, cd: Double): Double
+  def ub(c: Ctx, a: Int, b: Int, cd: Double): Double
   /** Exact bichromatic closest pair of (a, b) under this metric. */
   def bccp(c: Ctx, a: Int, b: Int): Edge
 }
 
 /** Plain Euclidean distance (EMST). */
 case object EuclidMetric extends Metric {
-  override def lb(c: Ctx, a: Int, b: Int): Double = c.tree.sphereDist(a, b)
-  override def ub(c: Ctx, a: Int, b: Int): Double = c.tree.sphereMaxDist(a, b)
+  override def lb(c: Ctx, a: Int, b: Int, cd: Double): Double = c.tree.sphereDist(a, b, cd)
+  override def ub(c: Ctx, a: Int, b: Int, cd: Double): Double = c.tree.sphereMaxDist(a, b, cd)
 
   override def bccp(c: Ctx, a: Int, b: Int): Edge = {
     val t = c.tree
@@ -107,11 +110,11 @@ case object EuclidMetric extends Metric {
   * BCCP* of the paper.
   */
 case object MutualReachMetric extends Metric {
-  override def lb(c: Ctx, a: Int, b: Int): Double =
-    math.max(c.tree.sphereDist(a, b), math.max(c.cdMin(a), c.cdMin(b)))
+  override def lb(c: Ctx, a: Int, b: Int, cd: Double): Double =
+    math.max(c.tree.sphereDist(a, b, cd), math.max(c.cdMin(a), c.cdMin(b)))
 
-  override def ub(c: Ctx, a: Int, b: Int): Double =
-    math.max(c.tree.sphereMaxDist(a, b), math.max(c.cdMax(a), c.cdMax(b)))
+  override def ub(c: Ctx, a: Int, b: Int, cd: Double): Double =
+    math.max(c.tree.sphereMaxDist(a, b, cd), math.max(c.cdMax(a), c.cdMax(b)))
 
   override def bccp(c: Ctx, a: Int, b: Int): Edge = {
     val t = c.tree
@@ -134,8 +137,8 @@ case object MutualReachMetric extends Metric {
       }
       i += 1
     }
-    // All candidate cds >= an earlier best: fall back to an exhaustive pass
-    // guard — cannot happen because the first row is always evaluated.
+    // `best` starts at +inf and core distances are finite, so the first row
+    // is always scanned and sets `bi`/`bj`.
     Edge(bi, bj, best)
   }
 }
@@ -190,7 +193,7 @@ object Wspd extends Serializable {
         if (!t.isLeaf(a))
           open.enqueue(Task(t.left(a), t.left(a)), Task(t.right(a), t.right(a)),
             Task(t.left(a), t.right(a)))
-      } else if (sep.wellSeparated(c, a, b)) done += task
+      } else if (sep.wellSeparated(c, a, b, t.centerDist(a, b))) done += task
       else {
         // Split the node with the larger bounding sphere (Algorithm 1).
         val (p, q) = if (t.radius(a) >= t.radius(b)) (a, b) else (b, a)
@@ -200,27 +203,41 @@ object Wspd extends Serializable {
     (done ++ open).toIndexedSeq
   }
 
+  /** A test or action on a visited pair `(a, b)` whose center distance
+    * `t.centerDist(a, b)` is `cd`. Primitive SAM types, so the per-visit
+    * calls box nothing.
+    */
+  private trait PairTest { def apply(a: Int, b: Int, cd: Double): Boolean }
+  private trait PairAction { def apply(a: Int, b: Int, cd: Double): Unit }
+
   /** The FindPair recursion (Algorithm 1) from one task, shared by every
     * traversal; `pruneNode`/`prunePair` are MemoGFK's cuts (Algorithm 3).
+    * Each visited pair's center distance is computed once and passed to the
+    * prune, separation and emit tests.
     */
   private def findPairsRec(
       c: Ctx,
       sep: Sep,
       task: Task,
-      emit: (Int, Int) => Unit,
+      emit: PairAction,
       pruneNode: Int => Boolean,
-      prunePair: (Int, Int) => Boolean,
+      prunePair: PairTest,
   ): Unit = {
     val t = c.tree
-    def pair(a: Int, b: Int): Unit =
-      if (!prunePair(a, b)) {
-        if (sep.wellSeparated(c, a, b)) emit(a, b)
+    def pair(a: Int, b: Int): Unit = {
+      val cd = t.centerDist(a, b)
+      if (!prunePair(a, b, cd)) {
+        if (sep.wellSeparated(c, a, b, cd)) emit(a, b, cd)
         else {
-          val (p, q) = if (t.radius(a) >= t.radius(b)) (a, b) else (b, a)
+          // Split the node with the larger bounding sphere (Algorithm 1).
+          val splitA = t.radius(a) >= t.radius(b)
+          val p = if (splitA) a else b
+          val q = if (splitA) b else a
           pair(t.left(p), q)
           pair(t.right(p), q)
         }
       }
+    }
     def split(a: Int): Unit =
       if (!t.isLeaf(a) && !pruneNode(a)) {
         split(t.left(a))
@@ -236,8 +253,8 @@ object Wspd extends Serializable {
   def allPairs(sc: Shared[Ctx], sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] =
     par.flatMapItems(frontier(sc.value, sep, par.targetTasks)) { task =>
       val buf = ArrayBuffer.empty[(Int, Int)]
-      findPairsRec(sc.value, sep, task, (a, b) => buf += ((a, b)),
-        _ => false, (_, _) => false)
+      findPairsRec(sc.value, sep, task, (a, b, _) => buf += ((a, b)),
+        _ => false, (_, _, _) => false)
       buf.toSeq
     }
 
@@ -288,17 +305,17 @@ object Wspd extends Serializable {
       val comp = scomp.value
       var rho = Double.PositiveInfinity
       findPairsRec(c, sep, task,
-        emit = (a, b) => {
+        emit = (a, b, cd) => {
           if (t.size(a).toLong + t.size(b) > beta) {
-            val l = metric.lb(c, a, b)
+            val l = metric.lb(c, a, b, cd)
             if (l < rho) rho = l
           }
         },
         pruneNode = a => comp(a) >= 0,
-        prunePair = (a, b) => {
+        prunePair = (a, b, cd) => {
           (comp(a) >= 0 && comp(a) == comp(b)) ||
           t.size(a).toLong + t.size(b) <= beta ||
-          metric.lb(c, a, b) >= rho
+          metric.lb(c, a, b, cd) >= rho
         })
       rho
     }.foldLeft(Double.PositiveInfinity)(math.min)
@@ -341,7 +358,7 @@ object Wspd extends Serializable {
       val out = ArrayBuffer.empty[Edge]
       val fresh = ArrayBuffer.empty[(Long, Edge)]
       findPairsRec(c, sep, task,
-        emit = (a, b) => {
+        emit = (a, b, _) => {
           // Bounds may not exclude the pair, but the exact BCCP decides.
           val key = pairKey(a, b)
           var e = cache.get(key)
@@ -357,10 +374,10 @@ object Wspd extends Serializable {
           if (e.w >= rhoLo && e.w < rhoHi) out += e
         },
         pruneNode = a => comp(a) >= 0,
-        prunePair = (a, b) => {
+        prunePair = (a, b, cd) => {
           (comp(a) >= 0 && comp(a) == comp(b)) ||
-          lbPrunes(metric.lb(c, a, b), rhoHi) ||
-          ubPrunes(metric.ub(c, a, b), rhoLo)
+          lbPrunes(metric.lb(c, a, b, cd), rhoHi) ||
+          ubPrunes(metric.ub(c, a, b, cd), rhoLo)
         })
       (out.toIndexedSeq, fresh.toIndexedSeq)
     }

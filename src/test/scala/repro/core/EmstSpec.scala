@@ -112,6 +112,16 @@ class EmstSpec extends AnyFunSuite {
       assert(uf.components == 1, name)
     }
   }
+
+  // Pinned traversal work: any change to the separation test, the bounds or
+  // the visit order that shifts MemoGFK's pruning moves these counts, even
+  // where the MST stays the same.
+  test("EMST-MemoGFK does the pinned amount of work on a 5D uniform set") {
+    val r = EmstMemoGfk.mst(Generators.uniformFill(2000, 5, 5), SeqScheme)
+    assert(r.stats == MstStats(pairsMaterialized = 13226, peakLivePairs = 12568,
+      bccpComputed = 13227, rounds = 4))
+    assert(TestUtil.weightOf(r.edges) == 14935.456983427814)
+  }
 }
 
 class EmstDelaunaySpec extends AnyFunSuite {

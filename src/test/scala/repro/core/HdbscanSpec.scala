@@ -158,6 +158,15 @@ class HdbscanSpec extends AnyFunSuite {
     val w20 = TestUtil.weightOf(Hdbscan.mst(ps, 20, MemoGfk, SeqScheme).mst.edges)
     assert(w20 >= w5 - 1e-9)
   }
+
+  // Pinned traversal work (see EmstSpec): the counts move with any change
+  // to the separation test, the bounds or the visit order.
+  test("HDBSCAN*-MemoGFK does the pinned amount of work on a 2D uniform set") {
+    val r = Hdbscan.mst(Generators.uniformFill(3000, 2, 5), 10, MemoGfk, SeqScheme).mst
+    assert(r.stats == MstStats(pairsMaterialized = 13226, peakLivePairs = 12991,
+      bccpComputed = 13271, rounds = 5))
+    assert(TestUtil.weightOf(r.edges) == 5157.614987674511)
+  }
 }
 
 class OpticsApproxSpec extends AnyFunSuite {

@@ -79,12 +79,44 @@ class KdTreeSpec extends AnyFunSuite {
     for (_ <- 0 until 200) {
       val a = rnd.nextInt(t.nNodes)
       val b = rnd.nextInt(t.nNodes)
-      val lo = t.sphereDist(a, b)
-      val hi = t.sphereMaxDist(a, b)
+      val cd = t.centerDist(a, b)
+      val lo = t.sphereDist(a, b, cd)
+      val hi = t.sphereMaxDist(a, b, cd)
       for (i <- t.pointsUnder(a); j <- t.pointsUnder(b)) {
         val d = t.points.dist(i, j)
         assert(d >= lo - 1e-9, s"d=$d below sphereDist=$lo")
         assert(d <= hi + 1e-9, s"d=$d above sphereMaxDist=$hi")
+      }
+    }
+  }
+
+  test("stored centers and radii equal the box formulas bit for bit") {
+    val sets = Seq(
+      "uniform 2D" -> TestUtil.randomPoints(300, 2, seed = 15),
+      "uniform 7D" -> TestUtil.randomPoints(300, 7, seed = 16),
+      "all duplicates" -> repro.geometry.PointSet.fromRows(Seq.fill(40)(Array(1.5, -2.0, 7.0))),
+      "n = 1" -> repro.geometry.PointSet.fromRows(Seq(Array(0.25, 4.0))))
+    for ((name, ps) <- sets; leafSize <- Seq(1, 8)) {
+      val t = KdTree.build(ps, leafSize)
+      val at = s"$name leaf=$leafSize"
+      def boxCenter(a: Int, k: Int): Double = 0.5 * (t.boxMin(a * t.dim + k) + t.boxMax(a * t.dim + k))
+      def boxRadius(a: Int): Double =
+        0.5 * math.sqrt((0 until t.dim).foldLeft(0.0) { (s, k) =>
+          val w = t.boxMax(a * t.dim + k) - t.boxMin(a * t.dim + k)
+          s + w * w
+        })
+      for (a <- 0 until t.nNodes) {
+        assert(t.radius(a) == boxRadius(a), s"$at node $a")
+        for (k <- 0 until t.dim) assert(t.center(a, k) == boxCenter(a, k), s"$at node $a dim $k")
+      }
+      for (a <- 0 until t.nNodes; b <- 0 until t.nNodes by 7) {
+        val cd = math.sqrt((0 until t.dim).foldLeft(0.0) { (s, k) =>
+          val d = boxCenter(a, k) - boxCenter(b, k)
+          s + d * d
+        })
+        assert(t.centerDist(a, b) == cd, s"$at pair ($a,$b)")
+        assert(t.sphereDist(a, b, cd) == math.max(0.0, cd - boxRadius(a) - boxRadius(b)), s"$at pair ($a,$b)")
+        assert(t.sphereMaxDist(a, b, cd) == cd + boxRadius(a) + boxRadius(b), s"$at pair ($a,$b)")
       }
     }
   }

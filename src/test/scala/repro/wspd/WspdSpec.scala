@@ -69,8 +69,9 @@ class WspdSpec extends AnyFunSuite {
     val sep = GeometricSep(2.0)
     val pairs = Wspd.allPairs(SeqScheme.share(c), sep, SeqScheme)
     pairs.foreach { case (a, b) =>
-      assert(sep.wellSeparated(c, a, b))
-      assert(c.tree.sphereDist(a, b) >=
+      val cd = c.tree.centerDist(a, b)
+      assert(sep.wellSeparated(c, a, b, cd))
+      assert(c.tree.sphereDist(a, b, cd) >=
         2.0 * math.max(c.tree.radius(a), c.tree.radius(b)) - 1e-12)
     }
   }
@@ -112,8 +113,9 @@ class WspdSpec extends AnyFunSuite {
     val pairs = Wspd.allPairs(SeqScheme.share(c), MutualUnreachableSep, SeqScheme)
     val geom = GeometricSep(2.0)
     pairs.foreach { case (a, b) =>
-      assert(geom.wellSeparated(c, a, b) ||
-        MutualUnreachableSep.mutuallyUnreachable(c, a, b))
+      val cd = c.tree.centerDist(a, b)
+      assert(geom.wellSeparated(c, a, b, cd) ||
+        MutualUnreachableSep.mutuallyUnreachable(c, a, b, cd))
     }
   }
 
@@ -141,7 +143,7 @@ class WspdSpec extends AnyFunSuite {
     for (beta <- Seq(2L, 8L, 64L)) {
       val brute = all
         .filter { case (a, b) => c.tree.size(a).toLong + c.tree.size(b) > beta }
-        .map { case (a, b) => EuclidMetric.lb(c, a, b) }
+        .map { case (a, b) => EuclidMetric.lb(c, a, b, c.tree.centerDist(a, b)) }
       val want = if (brute.isEmpty) Double.PositiveInfinity else brute.min
       val got = Wspd.getRho(sc, GeometricSep(2.0), EuclidMetric, beta, scomp, SeqScheme)
       assert(math.abs(got - want) < 1e-12 || (got.isPosInfinity && want.isPosInfinity),
@@ -262,7 +264,7 @@ class WspdSpec extends AnyFunSuite {
         val at = s"n=$n beta=$beta ${par.name} rho=$rho"
         if (large.isEmpty) assert(rho.isPosInfinity, at)
         else {
-          assert(large.exists { case (a, b) => math.abs(EuclidMetric.lb(c, a, b) - rho) < 1e-9 }, at)
+          assert(large.exists { case (a, b) => math.abs(EuclidMetric.lb(c, a, b, c.tree.centerDist(a, b)) - rho) < 1e-9 }, at)
           large.foreach { case (a, b) => assert(rho <= EuclidMetric.bccp(c, a, b).w + 1e-9, at) }
         }
       }
@@ -323,8 +325,9 @@ class MetricSpec extends AnyFunSuite {
         val b = rnd.nextInt(c.tree.nNodes)
         if (c.tree.pointsUnder(a).toSet.intersect(c.tree.pointsUnder(b).toSet).isEmpty) {
           val e = m.bccp(c, a, b)
-          assert(m.lb(c, a, b) <= e.w + 1e-9)
-          assert(m.ub(c, a, b) >= e.w - 1e-9)
+          val cdist = c.tree.centerDist(a, b)
+          assert(m.lb(c, a, b, cdist) <= e.w + 1e-9)
+          assert(m.ub(c, a, b, cdist) >= e.w - 1e-9)
         }
       }
     }
@@ -349,8 +352,9 @@ class MetricSpec extends AnyFunSuite {
         val pa = c.tree.pointsUnder(a)
         val pb = c.tree.pointsUnder(b)
         if (pa.toSet.intersect(pb.toSet).isEmpty) {
-          val lo = m.lb(c, a, b)
-          val hi = m.ub(c, a, b)
+          val cdist = c.tree.centerDist(a, b)
+          val lo = m.lb(c, a, b, cdist)
+          val hi = m.ub(c, a, b, cdist)
           for (i <- pa; j <- pb) {
             val w = wf(i, j)
             assert(w >= lo - 1e-9 && w <= hi + 1e-9, s"weight $w outside [$lo,$hi]")
