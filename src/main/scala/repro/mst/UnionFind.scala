@@ -9,7 +9,12 @@ package repro.mst
   * paper's per-round filter.
   */
 final class UnionFind(val n: Int) extends Serializable {
-  private val parent: Array[Int] = Array.tabulate(n)(identity)
+  private val parent: Array[Int] = {
+    val p = new Array[Int](n)
+    var i = 0
+    while (i < n) { p(i) = i; i += 1 }
+    p
+  }
   private val rank: Array[Byte] = new Array[Byte](n)
   private var nComponents: Int = n
 
@@ -44,5 +49,10 @@ final class UnionFind(val n: Int) extends Serializable {
   /** Fully-compressed copy of the parent array: `snap(i)` is the current
     * representative of `i`. Immutable, so safe to broadcast.
     */
-  def snapshot(): Array[Int] = Array.tabulate(n)(find)
+  def snapshot(): Array[Int] = {
+    val snap = new Array[Int](n)
+    var i = 0
+    while (i < n) { snap(i) = find(i); i += 1 }
+    snap
+  }
 }

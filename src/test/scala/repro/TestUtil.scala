@@ -28,6 +28,19 @@ object TestUtil {
     new PointSet(coords, dim)
   }
 
+  /** Every point of the integer grid {0, ..., side - 1}^dim, in row-major
+    * order: the heaviest distance ties.
+    */
+  def integerGrid(side: Int, dim: Int): PointSet = {
+    val n = math.pow(side, dim).toInt
+    val coords = new Array[Double](n * dim)
+    for (i <- 0 until n) {
+      var r = i
+      for (k <- dim - 1 to 0 by -1) { coords(i * dim + k) = (r % side).toDouble; r /= side }
+    }
+    new PointSet(coords, dim)
+  }
+
   /** Clustered points (two Gaussian blobs + noise) for skewed-shape tests. */
   def clusteredPoints(n: Int, dim: Int, seed: Long): PointSet = {
     val rnd = new Random(seed)

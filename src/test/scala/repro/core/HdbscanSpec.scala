@@ -11,14 +11,26 @@ import repro.wspd.WideSeqScheme
 
 class CoreDistSpec extends AnyFunSuite {
 
+  // Bit-for-bit: the k-NN keeps squared distances, and sqrt is monotone and
+  // correctly rounded, so sqrt of the k-th smallest square is the k-th
+  // smallest of the brute force's square-rooted distances.
   test("core distances match brute force across minPts and dims") {
-    for (dim <- Seq(2, 3, 7); minPts <- Seq(1, 2, 10)) {
-      val ps = TestUtil.randomPoints(120, dim, seed = dim * 10 + minPts)
-      val tree = KdTree.build(ps)
-      val got = CoreDist.compute(tree, minPts, SeqScheme)
+    def check(name: String, ps: repro.geometry.PointSet, minPts: Int): Unit = {
+      val got = CoreDist.compute(KdTree.build(ps), minPts, SeqScheme)
       val want = TestUtil.bruteCoreDist(ps, minPts)
-      got.zip(want).foreach { case (g, w) => assert(math.abs(g - w) < 1e-9) }
+      (0 until ps.n).foreach(i => assert(got(i) == want(i), s"$name minPts=$minPts point $i"))
     }
+    for (dim <- Seq(2, 3, 7); minPts <- Seq(1, 2, 10))
+      check(s"uniform ${dim}D", TestUtil.randomPoints(120, dim, seed = dim * 10 + minPts), minPts)
+    val adversarial = Seq(
+      "integer grid 2D" -> TestUtil.integerGrid(12, 2),
+      "integer grid 3D" -> TestUtil.integerGrid(5, 3),
+      "all duplicates" -> repro.geometry.PointSet.fromRows(Seq.fill(40)(Array(2.5, -1.0))),
+      "collinear line" -> repro.geometry.PointSet.fromRows((0 until 60).map(i => Array(i * 0.5, 3.0 - i * 0.25))))
+    for ((name, ps) <- adversarial; minPts <- Seq(1, 2, 5, 17, ps.n)) check(name, ps, minPts)
+    check("n = 1", repro.geometry.PointSet.fromRows(Seq(Array(7.0, -7.0))), 1)
+    val small = TestUtil.randomPoints(30, 2, seed = 31)
+    check("minPts = n", small, small.n)
   }
 
   test("minPts=1 core distances are all zero") {
@@ -44,7 +56,8 @@ class CoreDistSpec extends AnyFunSuite {
   }
 
   test("core distances are bitwise equal under every fan-out width") {
-    for (ps <- Seq(TestUtil.randomPoints(300, 3, 4), TestUtil.pointsWithDuplicates(200, 2, 5)); minPts <- Seq(1, 10)) {
+    val sets = Seq(TestUtil.randomPoints(300, 3, 4), TestUtil.pointsWithDuplicates(200, 2, 5), TestUtil.integerGrid(15, 2))
+    for (ps <- sets; minPts <- Seq(1, 10)) {
       val tree = KdTree.build(ps)
       val want = CoreDist.compute(tree, minPts, SeqScheme)
       for (par <- Seq(7, 64).map(WideSeqScheme))

@@ -181,6 +181,22 @@ class KdTreeSpec extends AnyFunSuite {
     }
   }
 
+  test("kthNearestDistance equals the brute-force k-th distance across the bucket boundary") {
+    for (n <- Seq(15, 16, 17, 33); leafSize <- Seq(1, 8, 32)) {
+      val sets = Seq(
+        "uniform" -> TestUtil.randomPoints(n, 2, seed = 40L + n),
+        "grid" -> new repro.geometry.PointSet(TestUtil.integerGrid(6, 2).coords.take(n * 2), 2))
+      for ((name, ps) <- sets) {
+        val t = KdTree.build(ps, leafSize)
+        val heap = new Array[Double](n)
+        for (k <- Seq(1, 5, n); qi <- 0 until n) {
+          val want = (0 until n).map(j => ps.dist(qi, j)).sorted.apply(k - 1)
+          assert(t.kthNearestDistance(qi, k, heap) == want, s"$name n=$n leaf=$leafSize k=$k qi=$qi")
+        }
+      }
+    }
+  }
+
   test("coreDistStats computes per-node min/max core distance") {
     val ps = TestUtil.randomPoints(80, 2, 14)
     val t = KdTree.build(ps)
