@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{ForkJoinPool, ForkJoinTask, RecursiveAction}
+import java.util.concurrent.{Callable, ForkJoinPool, ForkJoinTask, RecursiveAction}
 
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
@@ -36,19 +36,27 @@ final class Dendrogram(
     val order = new Array[Int](n)
     val bars = new Array[Double](n)
     var count = 0
-    // Explicit stack of (node, pendingWeight) — dendrograms can be deep.
-    val nodeStack = new mutable.ArrayDeque[(Int, Double)]
-    nodeStack.prepend((root, Double.PositiveInfinity))
-    while (nodeStack.nonEmpty) {
-      val (node, pending) = nodeStack.removeHead()
+    // Explicit stack of (node, pendingWeight) pairs in two primitive arrays —
+    // dendrograms can be deep. It holds the pending right children of the
+    // current path plus one node, so at most n entries.
+    val stackNode = new Array[Int](n)
+    val stackPending = new Array[Double](n)
+    var top = 0
+    stackNode(0) = root
+    stackPending(0) = Double.PositiveInfinity
+    while (top >= 0) {
+      val node = stackNode(top)
+      val pending = stackPending(top)
       if (isLeaf(node)) {
         order(count) = node
         bars(count) = pending
         count += 1
+        top -= 1
       } else {
         val i = node - n
-        nodeStack.prepend((right(i), weight(i)))
-        nodeStack.prepend((left(i), pending))
+        stackNode(top) = right(i); stackPending(top) = weight(i)
+        top += 1
+        stackNode(top) = left(i); stackPending(top) = pending
       }
     }
     require(count == n, s"dendrogram traversal visited $count of $n leaves")
@@ -65,7 +73,7 @@ object Dendrogram {
     * vertex distances), by BFS.
     */
   def vertexDistances(n: Int, edges: IndexedSeq[Edge], s: Int): Array[Int] = {
-    require(s >= 0 && s < n, s"start vertex $s is outside [0, $n)")
+    requireStart(n, s)
     // CSR adjacency: v's neighbours are nbr(off(v) until off(v + 1)). Count
     // degrees, prefix-sum them into block ends, then fill each block back to
     // front. While loops, not closures, on this per-edge path.
@@ -103,13 +111,25 @@ object Dendrogram {
     dist
   }
 
+  private def requireStart(n: Int, s: Int): Unit =
+    require(s >= 0 && s < n, s"start vertex $s is outside [0, $n)")
+
+  /** The checks both builders make before any work: the edge count of a
+    * tree, then the start vertex. Connectivity is checked by the BFS.
+    */
+  private def requireTreeInput(n: Int, edges: IndexedSeq[Edge], s: Int): Unit = {
+    require(edges.size == n - 1, s"a tree on $n vertices has ${n - 1} edges, got ${edges.size}")
+    requireStart(n, s)
+  }
+
   /** Sequential ordered-dendrogram construction: merges clusters bottom-up
     * in increasing edge weight (union-find), with the §4.2 ordering rule:
     * the subtree of the endpoint with the smaller vertex distance goes left.
     * The reference that the parallel builder must equal.
     */
   def buildSequential(n: Int, edges: IndexedSeq[Edge], s: Int): Dendrogram = {
-    val st = new State(n, edges, s)
+    requireTreeInput(n, edges, s)
+    val st = new State(n, edges, vertexDistances(n, edges, s), Edge.sortedIds(edges))
     st.merge(0, n - 1)
     st.result()
   }
@@ -120,29 +140,38 @@ object Dendrogram {
     * Cilk code), then recurse on the heavy rest, which sees each light
     * component as one cluster of the shared union-find: a contraction
     * that copies no edge. Ranges of at most `cutoff` (≥ 1) edges run the
-    * sequential kernel. Equals [[buildSequential]] node for node.
+    * sequential kernel, and so does a light component holding most of its
+    * range's light edges (see [[Build]]). The edge sort runs on the pool
+    * while this thread computes the vertex distances. Equals
+    * [[buildSequential]] node for node.
     */
   def buildParallel(n: Int, edges: IndexedSeq[Edge], s: Int, cutoff: Int = 1024): Dendrogram = {
     require(cutoff >= 1, s"cutoff must be at least 1, got $cutoff")
-    val st = new State(n, edges, s)
+    requireTreeInput(n, edges, s)
+    val sort: Callable[Array[Int]] = () => Edge.sortedIds(edges)
+    val sorting = ForkJoinTask.adapt(sort).fork()
+    // Joined even when the BFS throws, so no task outlives the call.
+    val vdist = try vertexDistances(n, edges, s) finally sorting.quietlyJoin()
+    val st = new State(n, edges, vdist, sorting.join())
     ForkJoinPool.commonPool().invoke(new Build(st, 0, n - 1, cutoff))
     st.result()
   }
 
-  /** State of both builders: `order`, the edge ids sorted once by
-    * `Edge.ordering` (with [[Edge.sortedIds]]); a path-halving union-find
-    * `parent` over vertex ids, whose cluster root `r` stands for dendrogram
-    * node `node(r)`; and a second union-find `comp` for [[regroup]].
-    * Concurrent tasks own distinct light components, hence disjoint
-    * union-find paths: no locks needed.
+  /** State of both builders: the vertex distances `vdist`; `order`, the
+    * edge ids sorted by `Edge.ordering` (with [[Edge.sortedIds]]); a
+    * path-halving union-find `parent` over vertex ids, whose cluster root
+    * `r` stands for dendrogram node `node(r)`; and, for [[regroup]], a
+    * second union-find `comp` and the scratch arrays `ids` and `label`,
+    * indexed like `order`. Concurrent tasks own distinct light components,
+    * hence disjoint union-find paths and disjoint ranges of `order`: no
+    * locks needed.
     */
-  private final class State(n: Int, edges: IndexedSeq[Edge], s: Int) {
-    require(edges.size == n - 1, s"a tree on $n vertices has ${n - 1} edges, got ${edges.size}")
-    private val vdist = vertexDistances(n, edges, s)
-    private val order = Edge.sortedIds(edges)
+  private final class State(n: Int, edges: IndexedSeq[Edge], vdist: Array[Int], order: Array[Int]) {
     private val parent = Array.range(0, n)
     private val node = Array.range(0, n)
     private val comp = new Array[Int](n)
+    private val ids = new Array[Int](n - 1)
+    private val label = new Array[Int](n - 1)
     private val left = new Array[Int](n - 1)
     private val right = new Array[Int](n - 1)
     private val weight = new Array[Double](n - 1)
@@ -170,24 +199,45 @@ object Dendrogram {
 
     /** Stable-regroups `order(lo until hi)` so each connected component of
       * its edges over the current clusters is contiguous; returns each
-      * component's end, ascending. `comp` is reset on the touched clusters
-      * and joined; then `comp(r) = ~c` numbers root `r`'s component `c`.
+      * component's end, ascending. The range is copied to `ids`; `comp` is
+      * reset on the touched clusters and joined; `label(k)` takes the root
+      * of edge `ids(k)`'s component, then `comp(r) = ~c` numbers root `r`'s
+      * component `c` in first-seen order and `label(k)` takes `c`; a
+      * counting sort writes `ids` back by label.
       */
     def regroup(lo: Int, hi: Int): Array[Int] = {
-      val ids = order.slice(lo, hi)
-      def reset(v: Int): Unit = { val r = cluster(v); comp(r) = r }
-      for (i <- ids) { reset(edges(i).u); reset(edges(i).v) }
-      for (i <- ids) comp(find(comp, cluster(edges(i).u))) = find(comp, cluster(edges(i).v))
+      System.arraycopy(order, lo, ids, lo, hi - lo)
+      var k = lo
+      while (k < hi) {
+        val e = edges(ids(k))
+        val ru = cluster(e.u); comp(ru) = ru
+        val rv = cluster(e.v); comp(rv) = rv
+        k += 1
+      }
+      k = lo
+      while (k < hi) {
+        val e = edges(ids(k))
+        comp(find(comp, cluster(e.u))) = find(comp, cluster(e.v))
+        k += 1
+      }
+      k = lo
+      while (k < hi) { label(k) = find(comp, cluster(edges(ids(k)).u)); k += 1 }
       var count = 0
-      val label = ids.map(i => find(comp, cluster(edges(i).u))).map { r =>
+      k = lo
+      while (k < hi) {
+        val r = label(k)
         if (comp(r) >= 0) { comp(r) = ~count; count += 1 }
-        ~comp(r)
+        label(k) = ~comp(r)
+        k += 1
       }
       val ends = new Array[Int](count) // each component's size, then start, then end
-      label.foreach(c => ends(c) += 1)
+      k = lo
+      while (k < hi) { ends(label(k)) += 1; k += 1 }
       var start = lo
-      for (c <- ends.indices) { val size = ends(c); ends(c) = start; start += size }
-      for (j <- ids.indices) { order(ends(label(j))) = ids(j); ends(label(j)) += 1 }
+      var c = 0
+      while (c < count) { val size = ends(c); ends(c) = start; start += size; c += 1 }
+      k = lo
+      while (k < hi) { val c = label(k); order(ends(c)) = ids(k); ends(c) += 1; k += 1 }
       ends
     }
 
@@ -196,8 +246,14 @@ object Dendrogram {
 
   /** One §4.2 subproblem: `order(lo until hi)`, a weight-sorted tree over
     * the current clusters. A light component of more than `cutoff` edges
-    * recurses; smaller ones are packed, in order, into tasks of at least
-    * `cutoff` edges, merged whole since a pack is not one sorted tree.
+    * recurses, unless it holds more than half of the range's light edges:
+    * its own light part would be giant again, so recursing would only
+    * regroup it once more per level without splitting it, and it is merged
+    * whole instead (its edges are contiguous and sorted, exactly what
+    * [[buildSequential]] merges for them). Smaller components are packed,
+    * in order, into tasks of at least `cutoff` edges, merged whole since a
+    * pack is not one sorted tree. All run concurrently before the heavy
+    * rest recurses.
     */
   private final class Build(st: State, lo: Int, hi: Int, cutoff: Int) extends RecursiveAction {
     override def compute(): Unit =
@@ -214,7 +270,8 @@ object Dendrogram {
         for (end <- st.regroup(lo, mid)) {
           if (end - start > cutoff) {
             pack(start)
-            tasks += new Build(st, start, end, cutoff)
+            val majority = end - start > (mid - lo) / 2
+            tasks += new Build(st, start, end, if (majority) Int.MaxValue else cutoff)
             packed = end
           } else if (end - packed >= cutoff) pack(end)
           start = end
@@ -240,18 +297,7 @@ object Dendrogram {
     mst.foreach { e =>
       if (e.w <= eps && coreDist(e.u) <= eps && coreDist(e.v) <= eps) uf.union(e.u, e.v)
     }
-    val labels = Array.fill(n)(-1)
-    val compLabel = mutable.HashMap.empty[Int, Int]
-    var next = 0
-    var i = 0
-    while (i < n) {
-      if (coreDist(i) <= eps) {
-        val r = uf.find(i)
-        labels(i) = compLabel.getOrElseUpdate(r, { val l = next; next += 1; l })
-      }
-      i += 1
-    }
-    labels
+    firstSeenLabels(uf, i => coreDist(i) <= eps)
   }
 
   /** Single-linkage clustering at distance threshold ε from the EMST:
@@ -260,11 +306,25 @@ object Dendrogram {
   def singleLinkageLabels(n: Int, mst: IndexedSeq[Edge], eps: Double): Array[Int] = {
     val uf = new UnionFind(n)
     mst.foreach(e => if (e.w <= eps) uf.union(e.u, e.v))
-    val compLabel = mutable.HashMap.empty[Int, Int]
+    firstSeenLabels(uf, _ => true)
+  }
+
+  /** Labels each member point by its union-find component, numbered in
+    * order of first appearance by point id; other points get -1.
+    */
+  private def firstSeenLabels(uf: UnionFind, member: Int => Boolean): Array[Int] = {
+    val labels = Array.fill(uf.n)(-1)
+    val rootLabel = Array.fill(uf.n)(-1)
     var next = 0
-    Array.tabulate(n) { i =>
-      val r = uf.find(i)
-      compLabel.getOrElseUpdate(r, { val l = next; next += 1; l })
+    var i = 0
+    while (i < uf.n) {
+      if (member(i)) {
+        val r = uf.find(i)
+        if (rootLabel(r) < 0) { rootLabel(r) = next; next += 1 }
+        labels(i) = rootLabel(r)
+      }
+      i += 1
     }
+    labels
   }
 }

@@ -1,5 +1,6 @@
 package repro.wspd
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
 import repro.kdtree.KdTree
@@ -379,8 +380,12 @@ object Wspd extends Serializable {
           lbPrunes(metric.lb(c, a, b, cd), rhoHi) ||
           ubPrunes(metric.ub(c, a, b, cd), rhoLo)
         })
-      (out.toIndexedSeq, fresh.toIndexedSeq)
+      (out.toArray, fresh.toArray)
     }
-    PairsRound(rounds.flatMap(_._1), rounds.flatMap(_._2))
+    // One array each, since Kruskal.runBatch reads the edges in sorted, not
+    // stored, order.
+    PairsRound(
+      ArraySeq.unsafeWrapArray(Array.concat(rounds.map(_._1): _*)),
+      ArraySeq.unsafeWrapArray(Array.concat(rounds.map(_._2): _*)))
   }
 }

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
-import repro.geometry.Generators
+import repro.geometry.{Generators, PointSet}
 import repro.mst.{Edge, Prim}
 import repro.par.SeqScheme
 
@@ -71,35 +71,64 @@ class DendrogramSpec extends AnyFunSuite {
     }
   }
 
+  private def assertSameNodes(par: Dendrogram, seq: Dendrogram, what: String): Unit = {
+    assert(par.root == seq.root, s"$what: roots differ")
+    assert(par.left.sameElements(seq.left), s"$what: left arrays differ")
+    assert(par.right.sameElements(seq.right), s"$what: right arrays differ")
+    assert(par.weight.sameElements(seq.weight), s"$what: weights differ")
+  }
+
+  /** Four uniformFill blocks of `m` points, 1000 apart: the three joining
+    * MST edges are the heaviest, so no top-level light component is a
+    * majority.
+    */
+  private def fourClusters(m: Int): PointSet = {
+    val blocks = (0 until 4).map(c => Generators.uniformFill(m, 2, 20L + c))
+    PointSet.fromRows(blocks.zipWithIndex.flatMap { case (b, c) =>
+      (0 until m).map(i => Array(b(i, 0) + 1000.0 * c, b(i, 1)))
+    })
+  }
+
   test("parallel dendrogram equals sequential node-for-node") {
-    for (seed <- Seq(6L, 7L); cutoff <- Seq(1, 4, 16, 64)) {
+    val rnd = new scala.util.Random(8)
+    // (name, n, edges, start vertex)
+    val inputs: Seq[(String, Int, IndexedSeq[Edge], Int)] = Seq(6L, 7L).map { seed =>
       val ps = TestUtil.randomPoints(200, 2, seed)
-      val mst = TestUtil.bruteEmst(ps)
-      val seq = Dendrogram.buildSequential(ps.n, mst, s = 0)
-      val par = Dendrogram.buildParallel(ps.n, mst, s = 0, cutoff = cutoff)
-      assert(par.root == seq.root, s"cutoff=$cutoff roots differ")
-      assert(par.left.sameElements(seq.left), s"cutoff=$cutoff left arrays differ")
-      assert(par.right.sameElements(seq.right), s"cutoff=$cutoff right arrays differ")
-      assert(par.weight.sameElements(seq.weight))
+      (s"200 random points, seed $seed", ps.n, TestUtil.bruteEmst(ps), 0)
+    } ++ Seq(
+      // The lightest 90% of these edges form one giant component: merged whole.
+      ("20K uniformFill 2D HDBSCAN* MST", 20000,
+        Hdbscan.mst(Generators.uniformFill(20000, 2, 3), 10, MemoGfk, SeqScheme).mst.edges, 0),
+      // No majority component, so the light components recurse.
+      ("four separated clusters", 10000, EmstMemoGfk.mst(fourClusters(2500), SeqScheme).edges, 5),
+      ("star", 2000, IndexedSeq.tabulate(1999)(i => Edge(0, i + 1, rnd.nextDouble())), 7),
+      ("random tree of equal weights", 2000,
+        IndexedSeq.tabulate(1999)(i => Edge(rnd.nextInt(i + 1), i + 1, 1.0)), 3),
+      ("path of increasing weights", 500, IndexedSeq.tabulate(499)(i => Edge(i, i + 1, (i + 1).toDouble)), 0),
+    )
+    for ((name, n, edges, s) <- inputs) {
+      val seq = Dendrogram.buildSequential(n, edges, s)
+      for (cutoff <- Seq(1, 4, 16, 64, 1024))
+        assertSameNodes(Dendrogram.buildParallel(n, edges, s, cutoff), seq, s"$name, cutoff=$cutoff")
     }
+    val n = 50000
+    val path = IndexedSeq.tabulate(n - 1)(i => Edge(i, i + 1, (i + 1).toDouble))
+    assertSameNodes(Dendrogram.buildParallel(n, path, s = 0), Dendrogram.buildSequential(n, path, s = 0),
+      "path of increasing weights, n=50000, default cutoff")
   }
 
   test("parallel dendrogram equals sequential on HDBSCAN* MSTs and varden data") {
     val ps = Generators.ssVarden(300, 3, 8)
     val mst = TestUtil.bruteMutualReachMst(ps, 10)
     val seq = Dendrogram.buildSequential(ps.n, mst, s = 3)
-    val par = Dendrogram.buildParallel(ps.n, mst, s = 3, cutoff = 16)
-    assert(par.root == seq.root)
-    assert(par.left.sameElements(seq.left) && par.right.sameElements(seq.right))
+    assertSameNodes(Dendrogram.buildParallel(ps.n, mst, s = 3, cutoff = 16), seq, "varden")
   }
 
   test("parallel dendrogram with default cutoff on larger input") {
     val ps = Generators.uniformFill(3000, 2, 9)
     val mst = EmstMemoGfk.mst(ps, SeqScheme).edges
     val seq = Dendrogram.buildSequential(ps.n, mst, s = 0)
-    val par = Dendrogram.buildParallel(ps.n, mst, s = 0)
-    assert(par.root == seq.root)
-    assert(par.left.sameElements(seq.left) && par.right.sameElements(seq.right))
+    assertSameNodes(Dendrogram.buildParallel(ps.n, mst, s = 0), seq, "default cutoff")
   }
 
   test("dendrogram at n=2") {
@@ -150,11 +179,15 @@ class DendrogramSpec extends AnyFunSuite {
     val n = 500
     val edges = IndexedSeq.tabulate(n - 1)(i => Edge(i, i + 1, (i + 1).toDouble))
     val seq = Dendrogram.buildSequential(n, edges, s = 0)
-    val par = Dendrogram.buildParallel(n, edges, s = 0, cutoff = 8)
-    assert(par.root == seq.root)
-    assert(par.left.sameElements(seq.left) && par.right.sameElements(seq.right))
+    assertSameNodes(Dendrogram.buildParallel(n, edges, s = 0, cutoff = 8), seq, "path")
     val (order, _) = seq.reachabilityPlot()
     assert(order.sameElements(Array.tabulate(n)(identity)), "path must be visited in line order")
+  }
+
+  /** Cluster ids are numbered in order of first appearance by point id. */
+  private def assertFirstSeen(labels: Array[Int], what: String): Unit = {
+    val seen = labels.toSeq.filter(_ >= 0).distinct
+    assert(seen == seen.indices, s"$what: labels not numbered in first-seen order")
   }
 
   test("single-linkage labels from dendrogram cut match brute-force threshold components") {
@@ -167,6 +200,7 @@ class DendrogramSpec extends AnyFunSuite {
       for (i <- 0 until ps.n; j <- i + 1 until ps.n if ps.dist(i, j) <= eps) uf.union(i, j)
       val want = Array.tabulate(ps.n)(uf.find)
       assert(TestUtil.samePartition(got, want), s"eps=$eps")
+      assertFirstSeen(got, s"eps=$eps")
     }
   }
 
@@ -178,6 +212,7 @@ class DendrogramSpec extends AnyFunSuite {
       val got = Dendrogram.dbscanStarLabels(ps.n, res.mst.edges, res.coreDist, eps)
       val want = TestUtil.bruteDbscanStar(ps, minPts, eps)
       assert(TestUtil.samePartition(got, want), s"eps=$eps")
+      assertFirstSeen(got, s"eps=$eps")
     }
   }
 
