@@ -9,6 +9,15 @@ import repro.wspd.{Ctx, Metric, Sep, Wspd}
 /** Statistics reported next to each MST run — `pairsMaterialized` is the
   * quantity behind the paper's memory-usage claims (MemoGFK materializes
   * only the per-round S_l1 pairs; Naive/GFK materialize the full WSPD).
+  *
+  * @param pairsMaterialized candidate edges materialized, summed over
+  *   rounds: the full WSPD for Naive/GFK, each round's in-window BCCP
+  *   edges for MemoGFK, the triangulation's edges for Delaunay
+  * @param peakLivePairs the most candidate edges held at one time: the
+  *   full WSPD for Naive/GFK, the largest round for MemoGFK
+  * @param bccpComputed BCCP (or BCCP*) calls made, whether or not the edge
+  *   found was kept; 0 for Delaunay, the generated edges for OpticsApprox
+  * @param rounds rounds of the β-doubling loop; 1 for one-shot methods
   */
 final case class MstStats(
     pairsMaterialized: Long,
@@ -32,10 +41,6 @@ object MemoGfkEngine {
     try {
       val uf = new UnionFind(n)
       val out = new ArrayBuffer[Edge](n - 1)
-      // Cross-round BCCP cache (the paper: "we cache the BCCP results of
-      // pairs to avoid repeated computations"). Driver-owned; re-shared
-      // each round so Spark tasks read the accumulated state.
-      val cache = new java.util.HashMap[Long, Edge]
       var beta = 2L
       var rhoLo = 0.0
       var rounds = 0
@@ -45,13 +50,11 @@ object MemoGfkEngine {
       while (out.size < n - 1) {
         rounds += 1
         val scomp = par.share(Wspd.nodeComponents(ctx.tree, uf.snapshot()))
-        val scache = par.share(cache)
         try {
           val rhoHi = Wspd.getRho(sharedCtx, sep, metric, beta, scomp, par)
-          val round = Wspd.getPairs(sharedCtx, sep, metric, rhoLo, rhoHi, scomp, scache, par)
-          round.newCacheEntries.foreach { case (k, e) => cache.put(k, e) }
+          val round = Wspd.getPairs(sharedCtx, sep, metric, rhoLo, rhoHi, scomp, par)
           pairsMaterialized += round.edges.size
-          bccpComputed += round.edges.size + round.newCacheEntries.size
+          bccpComputed += round.bccps
           peak = math.max(peak, round.edges.size.toLong)
           Kruskal.runBatch(round.edges, uf, out)
           beta *= 2
@@ -61,7 +64,7 @@ object MemoGfkEngine {
           if (rhoHi.isPosInfinity && out.size < n - 1)
             throw new IllegalStateException(
               s"MemoGFK failed to span: ${out.size} of ${n - 1} edges")
-        } finally { scomp.release(); scache.release() }
+        } finally scomp.release()
       }
       MstResult(out.toIndexedSeq, MstStats(pairsMaterialized, peak, bccpComputed, rounds))
     } finally sharedCtx.release()

@@ -52,7 +52,8 @@ object PointSet {
   def fromRows(rows: Seq[Array[Double]]): PointSet = {
     require(rows.nonEmpty, "empty point set")
     val dim = rows.head.length
-    require(rows.forall(_.length == dim), "ragged rows")
+    val bad = rows.indexWhere(_.length != dim)
+    require(bad < 0, s"row $bad has ${rows(bad).length} coordinates, expected $dim")
     val coords = new Array[Double](rows.size * dim)
     var i = 0
     rows.foreach { r => System.arraycopy(r, 0, coords, i * dim, dim); i += 1 }

@@ -321,26 +321,15 @@ object Wspd extends Serializable {
       rho
     }.foldLeft(Double.PositiveInfinity)(math.min)
 
-  /** Pack a node pair into one Long cache key. */
-  @inline def pairKey(a: Int, b: Int): Long = (a.toLong << 32) | (b.toLong & 0xffffffffL)
-
-  /** Only pairs at least this large are worth caching across rounds: their
-    * BCCP is expensive and their wide [lb, ub] interval straddles many
-    * windows (small pairs are cheap to recompute and rarely revisited).
+  /** Result of one GetPairs round: the in-window edges, and the number of
+    * BCCPs computed to find them (one per emitted pair, in window or not).
     */
-  val CacheMinCardinality: Int = 16
-
-  /** Result of one GetPairs round: the in-window edges plus the BCCP results
-    * of large out-of-window pairs, which the engine folds into its
-    * cross-round cache (the paper: "we cache the BCCP results of pairs to
-    * avoid repeated computations").
-    */
-  final case class PairsRound(edges: IndexedSeq[Edge], newCacheEntries: IndexedSeq[(Long, Edge)])
+  final case class PairsRound(edges: IndexedSeq[Edge], bccps: Long)
 
   /** MemoGFK's GetPairs (Algorithm 3, line 5): materializes the BCCP edges
     * of well-separated, not-yet-connected pairs whose BCCP weight falls in
     * `[rhoLo, rhoHi)`, pruning subtrees whose bounds put them out of range
-    * (Figure 3b). `scache` carries BCCPs computed in earlier rounds.
+    * (Figure 3b).
     */
   def getPairs(
       sc: Shared[Ctx],
@@ -349,29 +338,18 @@ object Wspd extends Serializable {
       rhoLo: Double,
       rhoHi: Double,
       scomp: Shared[Array[Int]],
-      scache: Shared[java.util.HashMap[Long, Edge]],
       par: ParScheme,
   ): PairsRound = {
     val rounds = par.mapItems(frontier(sc.value, sep, par.targetTasks)) { task =>
       val c = sc.value
       val comp = scomp.value
-      val cache = scache.value
       val out = ArrayBuffer.empty[Edge]
-      val fresh = ArrayBuffer.empty[(Long, Edge)]
+      var bccps = 0L
       findPairsRec(c, sep, task,
         emit = (a, b, _) => {
           // Bounds may not exclude the pair, but the exact BCCP decides.
-          val key = pairKey(a, b)
-          var e = cache.get(key)
-          if (e == null) {
-            e = metric.bccp(c, a, b)
-            // Cache every large computed pair: out-of-window pairs (above OR
-            // below — a below-window pair survives when its edge was made
-            // redundant but its nodes still span several components) are
-            // revisited next round and must not pay the BCCP again.
-            if (c.tree.size(a) + c.tree.size(b) >= CacheMinCardinality)
-              fresh += ((key, e))
-          }
+          val e = metric.bccp(c, a, b)
+          bccps += 1
           if (e.w >= rhoLo && e.w < rhoHi) out += e
         },
         pruneNode = a => comp(a) >= 0,
@@ -380,12 +358,10 @@ object Wspd extends Serializable {
           lbPrunes(metric.lb(c, a, b, cd), rhoHi) ||
           ubPrunes(metric.ub(c, a, b, cd), rhoLo)
         })
-      (out.toArray, fresh.toArray)
+      (out.toArray, bccps)
     }
-    // One array each, since Kruskal.runBatch reads the edges in sorted, not
+    // One array, since Kruskal.runBatch reads the edges in sorted, not
     // stored, order.
-    PairsRound(
-      ArraySeq.unsafeWrapArray(Array.concat(rounds.map(_._1): _*)),
-      ArraySeq.unsafeWrapArray(Array.concat(rounds.map(_._2): _*)))
+    PairsRound(ArraySeq.unsafeWrapArray(Array.concat(rounds.map(_._1): _*)), rounds.map(_._2).sum)
   }
 }

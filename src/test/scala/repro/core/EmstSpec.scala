@@ -119,7 +119,7 @@ class EmstSpec extends AnyFunSuite {
   test("EMST-MemoGFK does the pinned amount of work on a 5D uniform set") {
     val r = EmstMemoGfk.mst(Generators.uniformFill(2000, 5, 5), SeqScheme)
     assert(r.stats == MstStats(pairsMaterialized = 13226, peakLivePairs = 12568,
-      bccpComputed = 13227, rounds = 4))
+      bccpComputed = 30603, rounds = 4))
     assert(TestUtil.weightOf(r.edges) == 14935.456983427814)
   }
 }

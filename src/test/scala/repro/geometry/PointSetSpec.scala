@@ -34,9 +34,10 @@ class PointSetSpec extends AnyFunSuite {
   }
 
   test("fromRows rejects ragged input") {
-    intercept[IllegalArgumentException] {
+    val e = intercept[IllegalArgumentException] {
       PointSet.fromRows(Seq(Array(1.0), Array(1.0, 2.0)))
     }
+    assert(e.getMessage.contains("row 1 has 2 coordinates, expected 1"), e.getMessage)
   }
 
   test("constructor rejects bad dimensions") {
