@@ -4,7 +4,7 @@ import scala.collection.mutable.ArrayBuffer
 
 import repro.geometry.PointSet
 import repro.kdtree.KdTree
-import repro.mst.{Edge, Kruskal, UnionFind}
+import repro.mst.{Edge, EdgeBatch, Kruskal, UnionFind}
 import repro.par.ParScheme
 import repro.wspd.{Ctx, EuclidMetric, GeometricSep, Wspd}
 
@@ -87,7 +87,7 @@ object EmstGfk {
         // to preserve the non-decreasing batch order Kruskal relies on.
         val cut = rhoHi - Wspd.slack(rhoHi)
         val (sl1, sl2) = sl.partition(_.edge.w <= cut)
-        Kruskal.runBatch(sl1.map(_.edge), uf, out)
+        Kruskal.runBatch(EdgeBatch.of(sl1.map(_.edge)), uf, out, parallel = par.targetTasks > 1)
         // Filter: discard pairs already connected in the union-find.
         val snap = uf.snapshot()
         val comp = Wspd.nodeComponents(tree, snap)

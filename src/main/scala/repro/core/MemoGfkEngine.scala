@@ -16,7 +16,7 @@ import repro.wspd.{Ctx, Metric, Sep, Wspd}
   * @param peakLivePairs the most candidate edges held at one time: the
   *   full WSPD for Naive/GFK, the largest round for MemoGFK
   * @param bccpComputed BCCP (or BCCP*) calls made, whether or not the edge
-  *   found was kept; 0 for Delaunay, the generated edges for OpticsApprox
+  *   found was kept; 0 for Delaunay and OpticsApprox
   * @param rounds rounds of the β-doubling loop; 1 for one-shot methods
   */
 final case class MstStats(
@@ -56,7 +56,7 @@ object MemoGfkEngine {
           pairsMaterialized += round.edges.size
           bccpComputed += round.bccps
           peak = math.max(peak, round.edges.size.toLong)
-          Kruskal.runBatch(round.edges, uf, out)
+          Kruskal.runBatch(round.edges, uf, out, parallel = par.targetTasks > 1)
           beta *= 2
           rhoLo = rhoHi
           // Safety net: with rhoHi = +inf every remaining pair was

@@ -32,7 +32,7 @@ object OpticsApprox {
       }
       val mst = Kruskal.mst(ps.n, edges)
       HdbscanResult(
-        MstResult(mst, MstStats(pairs.size, pairs.size, edges.size, rounds = 1)),
+        MstResult(mst, MstStats(pairs.size, pairs.size, bccpComputed = 0, rounds = 1)),
         cd)
     } finally sharedCtx.release()
   }

@@ -10,15 +10,24 @@ import scala.collection.mutable.ArrayBuffer
 object Kruskal {
 
   /** Processes one batch. Sorts the batch's edge ids by `Edge.ordering`
-    * with the primitive-key [[Edge.sortedIds]], then scans the edges in that
-    * order, joining components and appending tree edges to `out`.
+    * with [[EdgeBatch.sortedIds]] (`Arrays.parallelSort` underneath if
+    * `parallel`), then scans the columns in that order, joining components
+    * and appending tree edges to `out` as the batch orients them.
+    *
+    * @throws IllegalArgumentException if the batch's lightest edge is
+    *   lighter than the heaviest edge already in `out`: processing it
+    *   would break Kruskal's order
     */
-  def runBatch(batch: IndexedSeq[Edge], uf: UnionFind, out: ArrayBuffer[Edge]): Unit = {
-    val ids = Edge.sortedIds(batch)
+  def runBatch(batch: EdgeBatch, uf: UnionFind, out: ArrayBuffer[Edge], parallel: Boolean): Unit = {
+    val ids = batch.sortedIds(parallel)
+    if (ids.nonEmpty && out.nonEmpty && batch.w(ids(0)) < out.last.w)
+      throw new IllegalArgumentException(
+        s"batch out of order: its lightest edge weighs ${batch.w(ids(0))}, " +
+        s"below the ${out.last.w} of the heaviest accepted edge")
     var i = 0
     while (i < ids.length) {
-      val e = batch(ids(i))
-      if (uf.union(e.u, e.v)) out += e
+      val id = ids(i)
+      if (uf.union(batch.u(id), batch.v(id))) out += batch.edge(id)
       i += 1
     }
   }
@@ -27,7 +36,7 @@ object Kruskal {
   def mst(n: Int, edges: IndexedSeq[Edge]): IndexedSeq[Edge] = {
     val uf = new UnionFind(n)
     val out = new ArrayBuffer[Edge](n - 1)
-    runBatch(edges, uf, out)
+    runBatch(EdgeBatch.of(edges), uf, out, parallel = false)
     out.toIndexedSeq
   }
 }

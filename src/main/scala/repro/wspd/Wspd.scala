@@ -1,10 +1,9 @@
 package repro.wspd
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
 import repro.kdtree.KdTree
-import repro.mst.Edge
+import repro.mst.{Edge, EdgeBatch}
 import repro.par.{ParScheme, Shared}
 
 /** Shared read-only context for WSPD traversals: the kd-tree plus, for
@@ -324,12 +323,13 @@ object Wspd extends Serializable {
   /** Result of one GetPairs round: the in-window edges, and the number of
     * BCCPs computed to find them (one per emitted pair, in window or not).
     */
-  final case class PairsRound(edges: IndexedSeq[Edge], bccps: Long)
+  final case class PairsRound(edges: EdgeBatch, bccps: Long)
 
   /** MemoGFK's GetPairs (Algorithm 3, line 5): materializes the BCCP edges
     * of well-separated, not-yet-connected pairs whose BCCP weight falls in
     * `[rhoLo, rhoHi)`, pruning subtrees whose bounds put them out of range
-    * (Figure 3b).
+    * (Figure 3b). Each task appends its edges to primitive columns, and the
+    * round concatenates them into one batch.
     */
   def getPairs(
       sc: Shared[Ctx],
@@ -343,14 +343,14 @@ object Wspd extends Serializable {
     val rounds = par.mapItems(frontier(sc.value, sep, par.targetTasks)) { task =>
       val c = sc.value
       val comp = scomp.value
-      val out = ArrayBuffer.empty[Edge]
+      val out = new EdgeBatch.Builder
       var bccps = 0L
       findPairsRec(c, sep, task,
         emit = (a, b, _) => {
           // Bounds may not exclude the pair, but the exact BCCP decides.
           val e = metric.bccp(c, a, b)
           bccps += 1
-          if (e.w >= rhoLo && e.w < rhoHi) out += e
+          if (e.w >= rhoLo && e.w < rhoHi) out.add(e.u, e.v, e.w)
         },
         pruneNode = a => comp(a) >= 0,
         prunePair = (a, b, cd) => {
@@ -358,10 +358,8 @@ object Wspd extends Serializable {
           lbPrunes(metric.lb(c, a, b, cd), rhoHi) ||
           ubPrunes(metric.ub(c, a, b, cd), rhoLo)
         })
-      (out.toArray, bccps)
+      (out.result(), bccps)
     }
-    // One array, since Kruskal.runBatch reads the edges in sorted, not
-    // stored, order.
-    PairsRound(ArraySeq.unsafeWrapArray(Array.concat(rounds.map(_._1): _*)), rounds.map(_._2).sum)
+    PairsRound(EdgeBatch.concat(rounds.map(_._1)), rounds.map(_._2).sum)
   }
 }

@@ -89,13 +89,26 @@ class EdgeSpec extends AnyFunSuite {
       "already sorted" -> byWeight,
       "reverse sorted" -> byWeight.reverse,
       "random" -> randomEdges(100000, rnd.nextDouble()),
-    ) ++ Seq(31, 32, 33, 63, 64, 65, 97).map(m => s"random $m" -> randomEdges(m, rnd.nextInt(8).toDouble))
+    ) ++ Seq(31, 32, 33, 63, 64, 65, 97).map(m => s"random $m" -> randomEdges(m, rnd.nextInt(8).toDouble)) ++
+      // Sizes around the width of the kernel's packed id field.
+      Seq(255, 256, 257, 65535, 65536, 65537).flatMap(m => Seq(
+        s"random $m" -> randomEdges(m, rnd.nextDouble()),
+        s"integer-tied $m" -> randomEdges(m, rnd.nextInt(4).toDouble))) ++
+      // Weights 1 + j·ulp (and their negatives) differ only in their last
+      // mantissa bits, so many share their key bits above the id field.
+      Seq(257, 65537).flatMap(m => Seq(3, 1000, 1 << 20).flatMap { spread =>
+        def w = 1.0 + rnd.nextInt(spread) * math.ulp(1.0)
+        Seq(s"1 + j·ulp, $m, j < $spread" -> randomEdges(m, w),
+          s"±(1 + j·ulp), $m, j < $spread" -> randomEdges(m, if (rnd.nextBoolean()) w else -w))
+      }) :+
+      ("200K all-equal" -> randomEdges(200000, 0.75))
     for ((name, es) <- batches) {
       val ids = Edge.sortedIds(es)
       assert(ids.toSeq.map(es) == es.sorted(Edge.ordering), name)
       // Equal edges are indistinguishable above, so check the ids keep input order too.
       val want = es.indices.sortBy(es)(Edge.ordering)
       assert(ids.toSeq == want, name)
+      assert(EdgeBatch.of(es).sortedIds(parallel = true).toSeq == want, s"$name, parallel")
     }
   }
 }
@@ -124,9 +137,41 @@ class KruskalSpec extends AnyFunSuite {
     val oneShot = Kruskal.mst(ps.n, all)
     val uf = new UnionFind(ps.n)
     val out = scala.collection.mutable.ArrayBuffer.empty[Edge]
-    all.grouped(100).foreach(b => Kruskal.runBatch(b.toIndexedSeq, uf, out))
+    all.grouped(100).foreach(b => Kruskal.runBatch(EdgeBatch.of(b), uf, out, parallel = false))
     assert(out.size == ps.n - 1)
     assert(TestUtil.canonicalEdges(out) == TestUtil.canonicalEdges(oneShot))
+  }
+
+  test("runBatch from columns accepts exactly the edges of a scan in Edge.ordering") {
+    val rnd = new java.util.Random(37)
+    val n = 3000
+    val batches = Seq(
+      "integer-tied" -> IndexedSeq.fill(100000)(Edge(rnd.nextInt(n), rnd.nextInt(n), rnd.nextInt(5).toDouble)),
+      "random" -> IndexedSeq.fill(100000)(Edge(rnd.nextInt(n), rnd.nextInt(n), rnd.nextDouble())),
+    )
+    for ((name, es) <- batches) {
+      val ref = new UnionFind(n)
+      val want = es.sorted(Edge.ordering).filter(e => ref.union(e.u, e.v))
+      for (parallel <- Seq(false, true)) {
+        val out = scala.collection.mutable.ArrayBuffer.empty[Edge]
+        Kruskal.runBatch(EdgeBatch.of(es), new UnionFind(n), out, parallel)
+        // Edge equality also compares orientation, and the sequences the order.
+        assert(out.toSeq == want, s"$name, parallel = $parallel")
+      }
+    }
+  }
+
+  test("runBatch rejects a batch lighter than the heaviest accepted edge") {
+    val uf = new UnionFind(4)
+    val out = scala.collection.mutable.ArrayBuffer.empty[Edge]
+    Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(0, 1, 2.0))), uf, out, parallel = false)
+    // A tie with the heaviest accepted edge is still in order.
+    Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(1, 2, 2.0))), uf, out, parallel = false)
+    val ex = intercept[IllegalArgumentException] {
+      Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(2, 3, 3.0), Edge(0, 3, 1.5))), uf, out, parallel = false)
+    }
+    assert(ex.getMessage.contains("1.5") && ex.getMessage.contains("2.0"), ex.getMessage)
+    assert(out.size == 2, "a rejected batch must accept nothing")
   }
 
   test("Kruskal on a forest input returns a spanning forest") {

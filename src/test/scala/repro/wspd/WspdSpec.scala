@@ -158,7 +158,7 @@ class WspdSpec extends AnyFunSuite {
     val scomp = SeqScheme.share(Wspd.nodeComponents(c.tree, uf.snapshot()))
     val all = Wspd.allPairs(sc, GeometricSep(2.0), SeqScheme)
     val edges = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, scomp, SeqScheme).edges
+      0.0, Double.PositiveInfinity, scomp, SeqScheme).edges.toEdges
     assert(edges.size == all.size)
     // Nothing is pruned over the full range, so every width computes one
     // BCCP per pair.
@@ -175,12 +175,12 @@ class WspdSpec extends AnyFunSuite {
     val uf = new UnionFind(70)
     val scomp = SeqScheme.share(Wspd.nodeComponents(c.tree, uf.snapshot()))
     val all = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, scomp, SeqScheme).edges
+      0.0, Double.PositiveInfinity, scomp, SeqScheme).edges.toEdges
     val ws = all.map(_.w).sorted
     val lo = ws(ws.length / 4)
     val hi = ws(3 * ws.length / 4)
     val window = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
-      lo, hi, scomp, SeqScheme).edges
+      lo, hi, scomp, SeqScheme).edges.toEdges
     assert(window.forall(e => e.w >= lo && e.w < hi))
     assert(window.size == ws.count(w => w >= lo && w < hi))
   }
@@ -193,7 +193,7 @@ class WspdSpec extends AnyFunSuite {
     (0 until ps.n - 1).foreach(i => uf.union(i, i + 1)) // everything connected
     val scomp = SeqScheme.share(Wspd.nodeComponents(c.tree, uf.snapshot()))
     val edges = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, scomp, SeqScheme).edges
+      0.0, Double.PositiveInfinity, scomp, SeqScheme).edges.toEdges
     assert(edges.isEmpty)
   }
 
@@ -223,7 +223,7 @@ class WspdSpec extends AnyFunSuite {
       // wide frontier can emit descendants of a pair the sequential run
       // pruned, and count more BCCPs; their edges fall outside the window.
       def round(lo: Double, hi: Double, par: ParScheme) =
-        Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric, lo, hi, scomp, par).edges.sorted
+        Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric, lo, hi, scomp, par).edges.toEdges.sorted
       val ws = round(0.0, Double.PositiveInfinity, SeqScheme).map(_.w)
       val partial = if (ws.isEmpty) (0.0, 1.0) else (ws(ws.length / 4), ws(3 * ws.length / 4))
       for ((lo, hi) <- Seq((0.0, Double.PositiveInfinity), partial)) {
