@@ -1,43 +1,39 @@
 package repro.core
 
+import java.util.stream.IntStream
+
 import repro.kdtree.KdTree
 import repro.par.ParScheme
 
 /** HDBSCAN* core distances: cd(p) = distance from p to its minPts-nearest
   * neighbor, including p itself (§2.1). Computed with parallel k-NN queries
-  * against the kd-tree. Queries run in kd-tree order: the work items are
-  * ranges of positions in `tree.perm`, so consecutive queries are spatial
-  * neighbors and walk the same nodes, and each Spark task answers its range
-  * against the broadcast tree. The answers are scattered back to point ids.
-  * The result does not depend on query order.
+  * against the kd-tree, as the paper's shared-memory loop does. Queries run
+  * in kd-tree order: the work items are ranges of positions in `tree.perm`,
+  * so consecutive queries are spatial neighbors and walk the same nodes.
+  * Each range writes its answers straight into the result, indexed by point
+  * id. Under a parallel scheme (`par.targetTasks > 1`) the ranges run on
+  * the JVM's common fork-join pool, reading the tree in place; `par` only
+  * sets their number. The result does not depend on query order.
   */
 object CoreDist {
 
   def compute(tree: KdTree, minPts: Int, par: ParScheme): Array[Double] = {
     val n = tree.points.n
     require(minPts >= 1 && minPts <= n, s"minPts=$minPts out of range for n=$n")
-    val sharedTree = par.share(tree)
-    try {
-      val chunks = chunkRanges(n, par.targetTasks * 4)
-      val parts = par.mapItems(chunks) { case (lo, hi) =>
-        val t = sharedTree.value
-        val heap = new Array[Double](minPts) // per item: tasks run concurrently
-        val out = new Array[Double](hi - lo)
-        var i = lo
-        while (i < hi) {
-          out(i - lo) = t.kthNearestDistance(t.perm(i), minPts, heap)
-          i += 1
-        }
-        out
+    val chunks = chunkRanges(n, par.targetTasks * 4)
+    val cd = new Array[Double](n)
+    val items = IntStream.range(0, chunks.size)
+    (if (par.targetTasks > 1) items.parallel() else items).forEach { c =>
+      val (lo, hi) = chunks(c)
+      val heap = new Array[Double](minPts) // per range: ranges run concurrently
+      var i = lo
+      while (i < hi) {
+        val p = tree.perm(i)
+        cd(p) = tree.kthNearestDistance(p, minPts, heap)
+        i += 1
       }
-      val cd = new Array[Double](n)
-      var pos = 0
-      parts.foreach { p =>
-        var j = 0
-        while (j < p.length) { cd(tree.perm(pos)) = p(j); pos += 1; j += 1 }
-      }
-      cd
-    } finally sharedTree.release()
+    }
+    cd
   }
 
   /** Splits the kd-tree positions [0, n) (indices into `perm`, not point

@@ -11,6 +11,11 @@ import repro.wspd.WideSeqScheme
 
 class CoreDistSpec extends AnyFunSuite {
 
+  private val single = repro.geometry.PointSet.fromRows(Seq(Array(7.0, -7.0)))
+  private val allDuplicates = repro.geometry.PointSet.fromRows(Seq.fill(40)(Array(2.5, -1.0)))
+  private val collinearLine =
+    repro.geometry.PointSet.fromRows((0 until 60).map(i => Array(i * 0.5, 3.0 - i * 0.25)))
+
   // Bit-for-bit: the k-NN keeps squared distances, and sqrt is monotone and
   // correctly rounded, so sqrt of the k-th smallest square is the k-th
   // smallest of the brute force's square-rooted distances.
@@ -25,10 +30,10 @@ class CoreDistSpec extends AnyFunSuite {
     val adversarial = Seq(
       "integer grid 2D" -> TestUtil.integerGrid(12, 2),
       "integer grid 3D" -> TestUtil.integerGrid(5, 3),
-      "all duplicates" -> repro.geometry.PointSet.fromRows(Seq.fill(40)(Array(2.5, -1.0))),
-      "collinear line" -> repro.geometry.PointSet.fromRows((0 until 60).map(i => Array(i * 0.5, 3.0 - i * 0.25))))
+      "all duplicates" -> allDuplicates,
+      "collinear line" -> collinearLine)
     for ((name, ps) <- adversarial; minPts <- Seq(1, 2, 5, 17, ps.n)) check(name, ps, minPts)
-    check("n = 1", repro.geometry.PointSet.fromRows(Seq(Array(7.0, -7.0))), 1)
+    check("n = 1", single, 1)
     val small = TestUtil.randomPoints(30, 2, seed = 31)
     check("minPts = n", small, small.n)
   }
@@ -55,13 +60,23 @@ class CoreDistSpec extends AnyFunSuite {
     assert(cd(5) > 0.0)
   }
 
+  // Widths above 1 run the ranges on the fork-join pool; 100000 gives every
+  // kd-tree position a range of its own, and n = 3 has fewer points than
+  // ranges at every width.
   test("core distances are bitwise equal under every fan-out width") {
-    val sets = Seq(TestUtil.randomPoints(300, 3, 4), TestUtil.pointsWithDuplicates(200, 2, 5), TestUtil.integerGrid(15, 2))
-    for (ps <- sets; minPts <- Seq(1, 10)) {
+    val sets = Seq(
+      "uniform 3D" -> TestUtil.randomPoints(300, 3, 4),
+      "with duplicates" -> TestUtil.pointsWithDuplicates(200, 2, 5),
+      "integer grid" -> TestUtil.integerGrid(15, 2),
+      "n = 1" -> single,
+      "n = 3" -> TestUtil.randomPoints(3, 2, 6),
+      "all duplicates" -> allDuplicates,
+      "collinear line" -> collinearLine)
+    for ((name, ps) <- sets; minPts <- Seq(1, 10, ps.n).filter(_ <= ps.n).distinct) {
       val tree = KdTree.build(ps)
       val want = CoreDist.compute(tree, minPts, SeqScheme)
-      for (par <- Seq(7, 64).map(WideSeqScheme))
-        assert(CoreDist.compute(tree, minPts, par).sameElements(want), s"${par.name} minPts=$minPts")
+      for (par <- Seq(7, 64, 100000).map(WideSeqScheme))
+        assert(CoreDist.compute(tree, minPts, par).sameElements(want), s"$name ${par.name} minPts=$minPts")
     }
   }
 

@@ -10,7 +10,9 @@ import repro.mst.UnionFind
 import repro.par.{ParScheme, SeqScheme, Shared}
 
 /** Runs every fan-out sequentially but asks for `width` tasks, so the WSPD
-  * frontier is cut as wide as under a parallel scheme, without Spark.
+  * frontier is cut as wide as under a parallel scheme, without Spark. Code
+  * that runs on the fork-join pool when `targetTasks > 1` (the core-distance
+  * k-NN, the Kruskal batch sort) runs there under a width above 1.
   */
 final case class WideSeqScheme(width: Int) extends ParScheme {
   override def name: String = s"seq-wide[$width]"
