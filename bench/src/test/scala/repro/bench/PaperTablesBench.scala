@@ -26,7 +26,7 @@ class PaperTablesBench extends SparkSpec {
   }
 
   test(s"Table 4: EMST running times, 1 thread vs ${spark.sparkContext.defaultParallelism} cores") {
-    emstRows = Harness.emstTable(spark, baseN)
+    emstRows = Harness.emstTable(baseN)
     // 12 data sets x 4 methods (Delaunay rows exist but are '-' off 2D).
     assert(emstRows.size == 48)
     val completed = emstRows.filter(_.seq.seconds.isDefined)
@@ -37,7 +37,7 @@ class PaperTablesBench extends SparkSpec {
   }
 
   test("Table 5: HDBSCAN* running times (MST + ordered dendrogram), minPts=10") {
-    hdRows = Harness.hdbscanTable(spark, baseN, minPts = 10)
+    hdRows = Harness.hdbscanTable(baseN, minPts = 10)
     assert(hdRows.size == 24)
     assert(hdRows.filter(_.method == "HDBSCAN*-MemoGFK").forall(_.seq.seconds.isDefined))
     Harness.report("table5_hdbscan.txt", Harness.formatRows("Table 5: HDBSCAN*", hdRows))
@@ -49,7 +49,7 @@ class PaperTablesBench extends SparkSpec {
     assert(sp.nonEmpty)
     // Shape check (not an absolute-number check): at a meaningful size the
     // parallel scheme must beat 1 thread for the always-on method. Below
-    // that, per-job Spark overhead dominates sub-second runs.
+    // that, per-fan-out overhead dominates sub-second runs.
     if (baseN >= 5000) {
       val memo = sp.find(_.method == "EMST-MemoGFK").get
       assert(memo.selfAvg > 1.0, s"EMST-MemoGFK self-relative speedup ${memo.selfAvg} <= 1")

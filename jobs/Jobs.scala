@@ -51,8 +51,8 @@ object Table2Job {
   def main(args: Array[String]): Unit = {
     val (spark, owned) = JobRunner.session("table2")
     val n = JobRunner.baseN(args)
-    val emst = Harness.emstTable(spark, n)
-    val hd = Harness.hdbscanTable(spark, n)
+    val emst = Harness.emstTable(n)
+    val hd = Harness.hdbscanTable(n)
     val boruvka = Harness.mlpackTable(n)
     Harness.report("table2_speedups.txt", Harness.formatSpeedups(Harness.speedupTable(emst, hd, boruvka)))
     JobRunner.stop(spark, owned)
@@ -73,7 +73,7 @@ object Table3Job {
 object Table4Job {
   def main(args: Array[String]): Unit = {
     val (spark, owned) = JobRunner.session("table4")
-    val rows = Harness.emstTable(spark, JobRunner.baseN(args))
+    val rows = Harness.emstTable(JobRunner.baseN(args))
     Harness.report("table4_emst.txt", Harness.formatRows("Table 4: EMST", rows))
     JobRunner.publish(spark, "table4", rows)
     JobRunner.stop(spark, owned)
@@ -84,7 +84,7 @@ object Table4Job {
 object Table5Job {
   def main(args: Array[String]): Unit = {
     val (spark, owned) = JobRunner.session("table5")
-    val rows = Harness.hdbscanTable(spark, JobRunner.baseN(args))
+    val rows = Harness.hdbscanTable(JobRunner.baseN(args))
     Harness.report("table5_hdbscan.txt", Harness.formatRows("Table 5: HDBSCAN*", rows))
     JobRunner.publish(spark, "table5", rows)
     JobRunner.stop(spark, owned)

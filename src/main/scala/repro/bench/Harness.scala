@@ -2,12 +2,10 @@ package repro.bench
 
 import java.io.{File, PrintWriter}
 
-import org.apache.spark.sql.SparkSession
-
 import repro.baseline.DualTreeBoruvka
 import repro.core._
 import repro.geometry.{Generators, PointSet}
-import repro.par.{ParScheme, SeqScheme, SparkScheme}
+import repro.par.{ForkJoinScheme, ParScheme, SeqScheme}
 
 /** Benchmark harness reproducing the paper's evaluation tables (§5) at a
   * scaled-down size (paper: 10M points / 48 cores; here: `baseN` points /
@@ -60,13 +58,14 @@ object Harness {
         Cell(None, None)
     }
 
-  /** JIT / executor / codegen warm-up so the first timed cell is not
-    * charged for one-time startup costs.
+  /** The scheme of every table's "par" column. */
+  val par: ParScheme = ForkJoinScheme
+
+  /** JIT / fork-join pool warm-up so the first timed cell is not charged
+    * for one-time startup costs.
     */
-  def warmup(spark: SparkSession): Unit = {
-    val par = new SparkScheme(spark.sparkContext)
+  def warmup(): Unit = {
     val ps = Generators.uniformFill(500, 2, 99)
-    spark.sparkContext.parallelize(1 to 1000, 8).map(_ * 2).sum()
     EmstMemoGfk.mst(ps, SeqScheme)
     EmstMemoGfk.mst(ps, par)
     Hdbscan.mst(ps, 5, MemoGfk, par)
@@ -76,9 +75,8 @@ object Harness {
   /** Table 4: EMST running times, 1 thread vs parallel, for EMST-Naive,
     * EMST-GFK, EMST-MemoGFK and (2D only) EMST-Delaunay.
     */
-  def emstTable(spark: SparkSession, baseN: Int): Seq[Row] = {
-    val par = new SparkScheme(spark.sparkContext)
-    warmup(spark)
+  def emstTable(baseN: Int): Seq[Row] = {
+    warmup()
     val sets = Generators.benchmarkSets(baseN)
     val methods: Seq[(String, (PointSet, ParScheme) => MstResult, PointSet => Boolean)] = Seq(
       ("EMST-Naive", (ps, p) => EmstNaive.mst(ps, p, pairBudget), _ => true),
@@ -103,9 +101,8 @@ object Harness {
   /** Table 5: HDBSCAN* running times (MST of G_MR + ordered dendrogram),
     * 1 thread vs parallel, for HDBSCAN*-MemoGFK and HDBSCAN*-GanTao.
     */
-  def hdbscanTable(spark: SparkSession, baseN: Int, minPts: Int = 10): Seq[Row] = {
-    val par = new SparkScheme(spark.sparkContext)
-    warmup(spark)
+  def hdbscanTable(baseN: Int, minPts: Int = 10): Seq[Row] = {
+    warmup()
     val sets = Generators.benchmarkSets(baseN)
     val methods = Seq(
       ("HDBSCAN*-MemoGFK", MemoGfk: HdbscanVariant),
@@ -189,9 +186,8 @@ object Harness {
       val tree = KdTree.build(ps)
       val cd = CoreDist.compute(tree, minPts, SeqScheme)
       val ctx = Ctx.mutualReach(tree, cd)
-      val sc = SeqScheme.share(ctx)
-      val geo = Wspd.allPairs(sc, GeometricSep(2.0), SeqScheme).size.toLong
-      val nw = Wspd.allPairs(sc, MutualUnreachableSep, SeqScheme).size.toLong
+      val geo = Wspd.allPairs(ctx, GeometricSep(2.0), SeqScheme).size.toLong
+      val nw = Wspd.allPairs(ctx, MutualUnreachableSep, SeqScheme).size.toLong
       val memo = Hdbscan.mst(ps, minPts, MemoGfk, SeqScheme).mst.stats.peakLivePairs
       PairCounts(name, geo, nw, memo)
     }
@@ -210,11 +206,14 @@ object Harness {
 
   // ----- formatting ---------------------------------------------------------
 
+  /** Names the scheme behind every "par" number, for the table headers. */
+  def parLabel: String = s"par = ${par.name}, targetTasks = ${par.targetTasks}"
+
   def formatRows(title: String, rows: Seq[Row]): String = {
     val methods = rows.map(_.method).distinct
     val datasets = rows.map(_.dataset).distinct
     val sb = new StringBuilder
-    sb.append(s"== $title ==\n")
+    sb.append(s"== $title ($parLabel) ==\n")
     sb.append(f"${"dataset"}%-26s")
     methods.foreach(m => sb.append(f"| $m%-28s"))
     sb.append("\n")
@@ -234,7 +233,7 @@ object Harness {
 
   def formatSpeedups(sp: Seq[Speedup]): String = {
     val sb = new StringBuilder
-    sb.append("== Table 2: speedups on this machine ==\n")
+    sb.append(s"== Table 2: speedups on this machine ($parLabel) ==\n")
     def range(r: (Double, Double)): String = f"${r._1}%.2f-${r._2}%.2f"
     sb.append(f"${"method"}%-20s ${"over-best range"}%-20s ${"avg"}%-8s " +
       f"${"over-best+Boruvka range"}%-24s ${"avg"}%-8s ${"self range"}%-20s ${"avg"}%-8s\n")

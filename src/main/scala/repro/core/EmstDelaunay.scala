@@ -17,15 +17,10 @@ object EmstDelaunay {
   def mst(ps: PointSet, par: ParScheme): MstResult = {
     require(ps.dim == 2, "EMST-Delaunay applies to 2D data sets only")
     val t = Delaunay.triangulate(ps)
-    val sharedPs = par.share(ps)
-    try {
-      val weighted = par.mapItems(t.edges) { case (u, v) =>
-        Edge(u, v, sharedPs.value.dist(u, v))
-      }
-      // Exact duplicates re-attach at distance zero.
-      val dupEdges = t.duplicateOf.toIndexedSeq.map { case (i, rep) => Edge(i, rep, 0.0) }
-      val mst = Kruskal.mst(ps.n, weighted ++ dupEdges)
-      MstResult(mst, MstStats(t.edges.size, t.edges.size, 0, rounds = 1))
-    } finally sharedPs.release()
+    val weighted = par.mapItems(t.edges) { case (u, v) => Edge(u, v, ps.dist(u, v)) }
+    // Exact duplicates re-attach at distance zero.
+    val dupEdges = t.duplicateOf.toIndexedSeq.map { case (i, rep) => Edge(i, rep, 0.0) }
+    val mst = Kruskal.mst(ps.n, weighted ++ dupEdges)
+    MstResult(mst, MstStats(t.edges.size, t.edges.size, 0, rounds = 1))
   }
 }

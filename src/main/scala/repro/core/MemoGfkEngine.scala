@@ -37,36 +37,31 @@ object MemoGfkEngine {
 
   def mst(ctx: Ctx, sep: Sep, metric: Metric, par: ParScheme): MstResult = {
     val n = ctx.tree.points.n
-    val sharedCtx = par.share(ctx)
-    try {
-      val uf = new UnionFind(n)
-      val out = new ArrayBuffer[Edge](n - 1)
-      var beta = 2L
-      var rhoLo = 0.0
-      var rounds = 0
-      var pairsMaterialized = 0L
-      var bccpComputed = 0L
-      var peak = 0L
-      while (out.size < n - 1) {
-        rounds += 1
-        val scomp = par.share(Wspd.nodeComponents(ctx.tree, uf.snapshot()))
-        try {
-          val rhoHi = Wspd.getRho(sharedCtx, sep, metric, beta, scomp, par)
-          val round = Wspd.getPairs(sharedCtx, sep, metric, rhoLo, rhoHi, scomp, par)
-          pairsMaterialized += round.edges.size
-          bccpComputed += round.bccps
-          peak = math.max(peak, round.edges.size.toLong)
-          Kruskal.runBatch(round.edges, uf, out, parallel = par.targetTasks > 1)
-          beta *= 2
-          rhoLo = rhoHi
-          // Safety net: with rhoHi = +inf every remaining pair was
-          // considered, so the forest must now span.
-          if (rhoHi.isPosInfinity && out.size < n - 1)
-            throw new IllegalStateException(
-              s"MemoGFK failed to span: ${out.size} of ${n - 1} edges")
-        } finally scomp.release()
-      }
-      MstResult(out.toIndexedSeq, MstStats(pairsMaterialized, peak, bccpComputed, rounds))
-    } finally sharedCtx.release()
+    val uf = new UnionFind(n)
+    val out = new ArrayBuffer[Edge](n - 1)
+    var beta = 2L
+    var rhoLo = 0.0
+    var rounds = 0
+    var pairsMaterialized = 0L
+    var bccpComputed = 0L
+    var peak = 0L
+    while (out.size < n - 1) {
+      rounds += 1
+      val comp = Wspd.nodeComponents(ctx.tree, uf.snapshot())
+      val rhoHi = Wspd.getRho(ctx, sep, metric, beta, comp, par)
+      val round = Wspd.getPairs(ctx, sep, metric, rhoLo, rhoHi, comp, par)
+      pairsMaterialized += round.edges.size
+      bccpComputed += round.bccps
+      peak = math.max(peak, round.edges.size.toLong)
+      Kruskal.runBatch(round.edges, uf, out, parallel = par.targetTasks > 1)
+      beta *= 2
+      rhoLo = rhoHi
+      // Safety net: with rhoHi = +inf every remaining pair was
+      // considered, so the forest must now span.
+      if (rhoHi.isPosInfinity && out.size < n - 1)
+        throw new IllegalStateException(
+          s"MemoGFK failed to span: ${out.size} of ${n - 1} edges")
+    }
+    MstResult(out.toIndexedSeq, MstStats(pairsMaterialized, peak, bccpComputed, rounds))
   }
 }

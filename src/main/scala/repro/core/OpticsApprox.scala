@@ -23,18 +23,12 @@ object OpticsApprox {
     val tree = KdTree.build(ps)
     val cd = CoreDist.compute(tree, minPts, par)
     val ctx = Ctx.mutualReach(tree, cd)
-    val sharedCtx = par.share(ctx)
-    try {
-      val pairs = Wspd.allPairs(sharedCtx, GeometricSep(s), par)
-      val edges = par.flatMapItems(pairs) { case (a, b) =>
-        val c = sharedCtx.value
-        pairEdges(c, a, b, minPts, rho)
-      }
-      val mst = Kruskal.mst(ps.n, edges)
-      HdbscanResult(
-        MstResult(mst, MstStats(pairs.size, pairs.size, bccpComputed = 0, rounds = 1)),
-        cd)
-    } finally sharedCtx.release()
+    val pairs = Wspd.allPairs(ctx, GeometricSep(s), par)
+    val edges = par.flatMapItems(pairs) { case (a, b) => pairEdges(ctx, a, b, minPts, rho) }
+    val mst = Kruskal.mst(ps.n, edges)
+    HdbscanResult(
+      MstResult(mst, MstStats(pairs.size, pairs.size, bccpComputed = 0, rounds = 1)),
+      cd)
   }
 
   private def pairEdges(c: Ctx, a: Int, b: Int, minPts: Int, rho: Double): Seq[Edge] = {

@@ -29,6 +29,7 @@ object Delaunay {
   def triangulate(ps: PointSet): Triangulation = {
     require(ps.dim == 2, s"Delaunay requires 2D points, got dim=${ps.dim}")
     val n = ps.n
+    require(n >= 1, "empty point set: 2-dimensional, no points")
 
     // Coordinates with three super-triangle vertices appended.
     val xs = new Array[Double](n + 3)

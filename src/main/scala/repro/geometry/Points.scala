@@ -2,9 +2,8 @@ package repro.geometry
 
 /** A dense, immutable set of `n` points in `dim`-dimensional Euclidean space.
   *
-  * Coordinates are stored in one flat row-major `Array[Double]` so the whole
-  * set is a single cheap-to-broadcast object and the BCCP inner loops stay
-  * allocation-free. Point ids are `0 until n`.
+  * Coordinates are stored in one flat row-major `Array[Double]` so the BCCP
+  * inner loops stay allocation-free. Point ids are `0 until n`.
   */
 final class PointSet(val coords: Array[Double], val dim: Int) extends Serializable {
   require(dim > 0, s"dim must be positive, got $dim")

@@ -8,7 +8,7 @@ import repro.geometry.PointSet
   * indices than their parent), each node owning a contiguous range
   * `[lo, hi)` of the permutation array `perm` — so a node's points are a
   * contiguous slice, which keeps the BCCP inner loops tight and makes the
-  * whole tree one broadcastable object.
+  * whole tree a few flat arrays that parallel work items read in place.
   *
   * Splits follow the paper: the bounding box is cut at the midpoint of its
   * widest dimension ("spatial median"); if the box is degenerate (all points
@@ -162,10 +162,13 @@ object KdTree {
   private val KnnBucket = 16
 
   /** Builds a kd-tree over `ps`. `leafSize` defaults to 1 (required by the
-    * WSPD); k-NN-only callers may use a larger leaf.
+    * WSPD); k-NN-only callers may use a larger leaf. Every kd-tree-based
+    * EMST, HDBSCAN* and OPTICS entry point builds its tree here first, so
+    * this is where they reject an empty point set.
     */
   def build(ps: PointSet, leafSize: Int = 1): KdTree = {
-    require(leafSize >= 1)
+    require(ps.n >= 1, s"empty point set: ${ps.dim}-dimensional, no points")
+    require(leafSize >= 1, s"leafSize must be at least 1, got $leafSize")
     val n = ps.n
     val dim = ps.dim
     val maxNodes = 2 * n // leafSize=1 gives exactly 2n-1 nodes

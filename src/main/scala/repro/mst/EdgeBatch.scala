@@ -9,7 +9,7 @@ import java.util.stream.IntStream
   * tasks hand their in-window BCCP edges to [[Kruskal.runBatch]], which
   * builds an `Edge` only for an edge it accepts.
   */
-final class EdgeBatch(val u: Array[Int], val v: Array[Int], val w: Array[Double]) extends Serializable {
+final class EdgeBatch(val u: Array[Int], val v: Array[Int], val w: Array[Double]) {
   require(v.length == u.length && w.length == u.length, "edge columns differ in length")
 
   def size: Int = u.length

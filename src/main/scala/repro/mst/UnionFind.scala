@@ -3,12 +3,12 @@ package repro.mst
 /** Union-find with path halving and union by rank.
   *
   * Used by Kruskal's algorithm and by the GFK/MemoGFK filtering steps. The
-  * [[snapshot]] method produces a fully-compressed parent array suitable for
-  * broadcasting to Spark tasks, which then answer connectivity queries
-  * against the (immutable) round-start state — exactly the semantics of the
-  * paper's per-round filter.
+  * [[snapshot]] method produces a fully-compressed parent array that
+  * parallel work items read to answer connectivity queries against the
+  * (immutable) round-start state — exactly the semantics of the paper's
+  * per-round filter.
   */
-final class UnionFind(val n: Int) extends Serializable {
+final class UnionFind(val n: Int) {
   private val parent: Array[Int] = {
     val p = new Array[Int](n)
     var i = 0
@@ -47,7 +47,8 @@ final class UnionFind(val n: Int) extends Serializable {
   def components: Int = nComponents
 
   /** Fully-compressed copy of the parent array: `snap(i)` is the current
-    * representative of `i`. Immutable, so safe to broadcast.
+    * representative of `i`. Never written after, so safe to share across
+    * threads.
     */
   def snapshot(): Array[Int] = {
     val snap = new Array[Int](n)

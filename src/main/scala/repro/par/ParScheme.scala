@@ -1,40 +1,44 @@
 package repro.par
 
-import org.apache.spark.SparkContext
-import org.apache.spark.broadcast.Broadcast
+import java.util.stream.IntStream
 
+import scala.collection.immutable.ArraySeq
 import scala.reflect.ClassTag
 
-/** Read-only shared state visible inside parallel work items.
-  *
-  * `SparkScheme` backs this with a `Broadcast`; `SeqScheme` with the value
-  * itself. Algorithms obtain one via [[ParScheme.share]] and call `.value`
-  * inside closures, so the same algorithm body runs under both schemes.
-  */
-trait Shared[T] extends Serializable {
+import org.apache.spark.SparkContext
+
+/** What [[ParScheme.share]] returns; kept only for that method. */
+trait Shared[T] {
   def value: T
-  /** Releases any cluster-side resources (broadcast blocks). */
   def release(): Unit = ()
 }
 
 /** Execution scheme for the data-parallel loops of the paper's algorithms.
   *
   * The paper measures "1 thread" vs "48 cores" with identical algorithm
-  * code; we mirror that with [[SeqScheme]] (pure driver-side loops) vs
-  * [[SparkScheme]] (RDD fan-out over work items with broadcast shared
-  * state and shared-memory access inside executor threads).
+  * code; we mirror that with [[SeqScheme]] (plain loops on the calling
+  * thread) vs [[ForkJoinScheme]] (one fork-join fan-out over the work items
+  * on the JVM's common pool, whose threads read the caller's objects in
+  * shared memory).
   */
-trait ParScheme extends Serializable {
+trait ParScheme {
   def name: String
 
-  /** Applies `f` to every item, in parallel under Spark. Order-preserving. */
+  /** Applies `f` to every item, in parallel under fork-join. Order-preserving. */
   def mapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => B): IndexedSeq[B]
 
-  /** Applies `f: A => Seq[B]` and concatenates, in parallel under Spark. */
+  /** Applies `f: A => Seq[B]` and concatenates in item order, in parallel
+    * under fork-join.
+    */
   def flatMapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => Seq[B]): IndexedSeq[B]
 
-  /** Wraps read-only state for use inside `mapItems` closures. */
-  def share[T: ClassTag](v: T): Shared[T]
+  /** The identity wrapper. No algorithm calls it; it stays only because
+    * emstbench's `TracedScheme` overrides it (ROADMAP items 2 and 3 delete
+    * it with [[Shared]]).
+    */
+  def share[T: ClassTag](v: T): Shared[T] = new Shared[T] {
+    override def value: T = v
+  }
 
   /** Desired number of work items for a balanced fan-out (1 for seq). */
   def targetTasks: Int
@@ -50,42 +54,38 @@ object SeqScheme extends ParScheme {
   override def flatMapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => Seq[B]): IndexedSeq[B] =
     items.flatMap(f)
 
-  override def share[T: ClassTag](v: T): Shared[T] = new Shared[T] {
-    override def value: T = v
-  }
-
   override def targetTasks: Int = 1
 }
 
-/** Spark-backed execution: work items fan out over an RDD, shared state is
-  * broadcast once per algorithm run, and executor threads (local[*]) access
-  * it through shared memory. Each fan-out uses `defaultParallelism` RDD
-  * partitions.
+/** Fork-join execution: each fan-out is one parallel `IntStream` over the
+  * item indices on the JVM's common pool, whose work stealing balances
+  * unequal items. Results land in an array by item index, so the order is
+  * the items' order whichever thread ran them. An exception thrown by an
+  * item reaches the caller, or is the cause of what does.
   */
-final class SparkScheme(@transient val sc: SparkContext) extends ParScheme {
-  private val slices: Int = sc.defaultParallelism
+class ForkJoinScheme extends ParScheme {
+  override def name: String = s"fork-join[$targetTasks]"
 
-  override def name: String = s"spark[$slices]"
-
-  override def mapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => B): IndexedSeq[B] =
-    if (items.isEmpty) IndexedSeq.empty
-    else if (items.size == 1) IndexedSeq(f(items.head)) // avoid job overhead for trivial rounds
-    else sc.parallelize(items, math.min(slices, items.size)).map(f).collect().toIndexedSeq
-
-  override def flatMapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => Seq[B]): IndexedSeq[B] =
-    if (items.isEmpty) IndexedSeq.empty
-    else if (items.size == 1) f(items.head).toIndexedSeq
-    else sc.parallelize(items, math.min(slices, items.size)).flatMap(f).collect().toIndexedSeq
-
-  override def share[T: ClassTag](v: T): Shared[T] = {
-    val b: Broadcast[T] = sc.broadcast(v)
-    new Shared[T] {
-      override def value: T = b.value
-      // Non-blocking: MemoGFK releases one broadcast per round and must not
-      // stall the round loop on block-manager cleanup.
-      override def release(): Unit = b.unpersist(blocking = false)
-    }
+  override def mapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => B): IndexedSeq[B] = {
+    val out = new Array[B](items.size)
+    IntStream.range(0, items.size).parallel().forEach(i => out(i) = f(items(i)))
+    ArraySeq.unsafeWrapArray(out)
   }
 
-  override def targetTasks: Int = slices * 4
+  override def flatMapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => Seq[B]): IndexedSeq[B] =
+    mapItems(items)(f).flatten
+
+  /** Four items per core, so work stealing has unequal tasks to even out.
+    * The WSPD frontier, hence `getRho`'s value and the pair counts, follow
+    * this width (`Wspd.getRho`).
+    */
+  override val targetTasks: Int = 4 * Runtime.getRuntime.availableProcessors
 }
+
+object ForkJoinScheme extends ForkJoinScheme
+
+/** [[ForkJoinScheme]] under its old name: it ignores `sc` and starts no
+  * Spark job. Kept only because emstbench's `Workloads.parallelScheme`
+  * constructs it (ROADMAP items 2 and 3).
+  */
+final class SparkScheme(sc: SparkContext) extends ForkJoinScheme

@@ -4,18 +4,18 @@ import scala.collection.mutable.ArrayBuffer
 
 import repro.kdtree.KdTree
 import repro.mst.{Edge, EdgeBatch}
-import repro.par.{ParScheme, Shared}
+import repro.par.ParScheme
 
 /** Shared read-only context for WSPD traversals: the kd-tree plus, for
   * HDBSCAN*, per-point core distances and per-node core-distance stats.
-  * One instance is broadcast per algorithm run.
+  * One instance per algorithm run, read in place by every work item.
   */
 final case class Ctx(
     tree: KdTree,
     coreDist: Array[Double],
     cdMin: Array[Double],
     cdMax: Array[Double],
-) extends Serializable
+)
 
 object Ctx {
   /** Context for plain EMST (no core distances). */
@@ -31,7 +31,7 @@ object Ctx {
 /** Well-separation criterion (stateless, reads everything from [[Ctx]]).
   * `cd` is `c.tree.centerDist(a, b)`, computed once per visited pair.
   */
-sealed trait Sep extends Serializable {
+sealed trait Sep {
   def wellSeparated(c: Ctx, a: Int, b: Int, cd: Double): Boolean
 }
 
@@ -73,7 +73,7 @@ case object MutualUnreachableSep extends Sep {
   * pair of (A,B) — hence of every descendant pair's BCCP. `cd` is
   * `c.tree.centerDist(a, b)`.
   */
-sealed trait Metric extends Serializable {
+sealed trait Metric {
   def lb(c: Ctx, a: Int, b: Int, cd: Double): Double
   def ub(c: Ctx, a: Int, b: Int, cd: Double): Double
   /** Exact bichromatic closest pair of (a, b) under this metric. */
@@ -152,7 +152,7 @@ case object MutualReachMetric extends Metric {
   * concatenation; no traversal work runs on the driver. Under `SeqScheme`
   * the one task is the whole tree.
   */
-object Wspd extends Serializable {
+object Wspd {
 
   /** Safety slack for comparing a sphere-based bound with a ρ window edge.
     * The bounds can over/undershoot the exact BCCP by a few ulps (e.g. in
@@ -176,7 +176,7 @@ object Wspd extends Serializable {
     ubVal < rhoLo - slack(rhoLo)
 
   /** A pending FindPair(a, b) call; `a == b` encodes a WSPD(a) split call. */
-  final case class Task(a: Int, b: Int) extends Serializable
+  final case class Task(a: Int, b: Int)
 
   /** Cuts the Algorithm-1 recursion breadth-first into at least `target`
     * independent tasks (fewer if the recursion runs out). It prunes and
@@ -250,10 +250,10 @@ object Wspd extends Serializable {
   /** Full WSPD of the tree (Algorithm 1): every well-separated pair under
     * `sep`, gathered from the fan-out of [[frontier]] tasks under `par`.
     */
-  def allPairs(sc: Shared[Ctx], sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] =
-    par.flatMapItems(frontier(sc.value, sep, par.targetTasks)) { task =>
+  def allPairs(c: Ctx, sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] =
+    par.flatMapItems(frontier(c, sep, par.targetTasks)) { task =>
       val buf = ArrayBuffer.empty[(Int, Int)]
-      findPairsRec(sc.value, sep, task, (a, b, _) => buf += ((a, b)),
+      findPairsRec(c, sep, task, (a, b, _) => buf += ((a, b)),
         _ => false, (_, _, _) => false)
       buf.toSeq
     }
@@ -290,19 +290,18 @@ object Wspd extends Serializable {
     * The sphere `lb` is not monotone under kd-tree refinement, so the value
     * (always the `lb` of one such pair) depends on the visit order, hence
     * on `par.targetTasks`; every value it can take is a valid bound.
+    * `comp` is [[nodeComponents]] of the round's union-find snapshot.
     */
   def getRho(
-      sc: Shared[Ctx],
+      c: Ctx,
       sep: Sep,
       metric: Metric,
       beta: Long,
-      scomp: Shared[Array[Int]],
+      comp: Array[Int],
       par: ParScheme,
   ): Double =
-    par.mapItems(frontier(sc.value, sep, par.targetTasks)) { task =>
-      val c = sc.value
+    par.mapItems(frontier(c, sep, par.targetTasks)) { task =>
       val t = c.tree
-      val comp = scomp.value
       var rho = Double.PositiveInfinity
       findPairsRec(c, sep, task,
         emit = (a, b, cd) => {
@@ -329,20 +328,19 @@ object Wspd extends Serializable {
     * of well-separated, not-yet-connected pairs whose BCCP weight falls in
     * `[rhoLo, rhoHi)`, pruning subtrees whose bounds put them out of range
     * (Figure 3b). Each task appends its edges to primitive columns, and the
-    * round concatenates them into one batch.
+    * round concatenates them into one batch, in task order. `comp` is as in
+    * [[getRho]].
     */
   def getPairs(
-      sc: Shared[Ctx],
+      c: Ctx,
       sep: Sep,
       metric: Metric,
       rhoLo: Double,
       rhoHi: Double,
-      scomp: Shared[Array[Int]],
+      comp: Array[Int],
       par: ParScheme,
   ): PairsRound = {
-    val rounds = par.mapItems(frontier(sc.value, sep, par.targetTasks)) { task =>
-      val c = sc.value
-      val comp = scomp.value
+    val rounds = par.mapItems(frontier(c, sep, par.targetTasks)) { task =>
       val out = new EdgeBatch.Builder
       var bccps = 0L
       findPairsRec(c, sep, task,

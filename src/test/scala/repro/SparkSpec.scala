@@ -26,9 +26,6 @@ object SparkSpec {
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      // The geometric fan-outs collect millions of small Edge objects;
-      // Kryo keeps that from dominating the parallel running times.
-      .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer")
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).

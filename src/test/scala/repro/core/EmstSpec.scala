@@ -3,7 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
-import repro.geometry.Generators
+import repro.baseline.DualTreeBoruvka
+import repro.geometry.{Generators, PointSet}
 import repro.mst.UnionFind
 import repro.par.SeqScheme
 
@@ -152,6 +153,22 @@ class EmstDelaunaySpec extends AnyFunSuite {
   test("EMST-Delaunay rejects non-2D input") {
     intercept[IllegalArgumentException] {
       EmstDelaunay.mst(TestUtil.randomPoints(10, 3, 6), SeqScheme)
+    }
+  }
+
+  test("every EMST, HDBSCAN* and OPTICS entry point rejects an empty point set") {
+    val runs: Seq[(String, PointSet => Any)] = Seq(
+      ("EMST-Naive", EmstNaive.mst(_, SeqScheme)),
+      ("EMST-GFK", EmstGfk.mst(_, SeqScheme)),
+      ("EMST-MemoGFK", EmstMemoGfk.mst(_, SeqScheme)),
+      ("EMST-Delaunay", EmstDelaunay.mst(_, SeqScheme)),
+      ("HDBSCAN*-GanTao", Hdbscan.mst(_, 1, GanTao, SeqScheme)),
+      ("HDBSCAN*-MemoGFK", Hdbscan.mst(_, 1, MemoGfk, SeqScheme)),
+      ("OPTICS-GanTaoApprox", OpticsApprox.mst(_, 1, 0.125, SeqScheme)),
+      ("DualTreeBoruvka", DualTreeBoruvka.mst(_)))
+    for ((name, run) <- runs) {
+      val e = intercept[IllegalArgumentException](run(new PointSet(Array.empty, 2)))
+      assert(e.getMessage.contains("empty point set"), s"$name: ${e.getMessage}")
     }
   }
 }

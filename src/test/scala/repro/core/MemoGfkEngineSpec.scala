@@ -6,22 +6,17 @@ import scala.reflect.ClassTag
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
+import repro.geometry.Generators
 import repro.kdtree.KdTree
 import repro.par.{ParScheme, Shared}
 import repro.wspd.{Ctx, EuclidMetric, GeometricSep, MutualReachMetric, MutualUnreachableSep,
   WideSeqScheme}
 
-/** Delegates to `inner` and records every `Shared` it hands out, with the
-  * class of the shared value and the number of times it was released.
+/** Delegates to `inner` and records the class of every value passed to
+  * `share`.
   */
 final class CountingScheme(inner: ParScheme) extends ParScheme {
-  final class Counted[T](in: Shared[T], val valueClass: Class[_]) extends Shared[T] {
-    var releases = 0
-    override def value: T = in.value
-    override def release(): Unit = { releases += 1; in.release() }
-  }
-
-  val made: ArrayBuffer[Counted[_]] = ArrayBuffer.empty
+  val made: ArrayBuffer[Class[_]] = ArrayBuffer.empty
 
   override def name: String = s"counting[${inner.name}]"
 
@@ -32,17 +27,19 @@ final class CountingScheme(inner: ParScheme) extends ParScheme {
     inner.flatMapItems(items)(f)
 
   override def share[T: ClassTag](v: T): Shared[T] = {
-    val s = new Counted(inner.share(v), v.getClass)
-    made += s
-    s
+    made += v.getClass
+    inner.share(v)
   }
 
   override def targetTasks: Int = inner.targetTasks
 }
 
+/** Work items read the caller's objects in place, so no algorithm wraps
+  * anything with `share`.
+  */
 class MemoGfkEngineSpec extends AnyFunSuite {
 
-  test("MemoGFK releases every Shared it creates and shares at most once per round plus the context") {
+  test("MemoGFK shares nothing at any width") {
     val ps = TestUtil.randomPoints(300, 3, 21)
     val tree = KdTree.build(ps)
     val runs = Seq(
@@ -53,30 +50,29 @@ class MemoGfkEngineSpec extends AnyFunSuite {
       val par = new CountingScheme(WideSeqScheme(width))
       val r = MemoGfkEngine.mst(ctx, sep, metric, par)
       assert(r.edges.size == ps.n - 1, s"$name width=$width")
-      assert(par.made.size <= 1 + r.stats.rounds,
-        s"$name width=$width: ${par.made.size} shares in ${r.stats.rounds} rounds")
-      assert(par.made.forall(_.releases == 1),
-        s"$name width=$width releases ${par.made.map(_.releases)}")
+      assert(par.made.isEmpty, s"$name width=$width shared ${par.made.map(_.getSimpleName)}")
     }
   }
 
-  test("an HDBSCAN* or OPTICS run shares its kd-tree once, inside the context; CoreDist shares nothing") {
+  test("no entry point or core-distance run shares anything") {
     val ps = TestUtil.randomPoints(300, 3, 22)
+    val ps2 = Generators.uniformFill(300, 2, 22)
     val knn = new CountingScheme(WideSeqScheme(7))
     CoreDist.compute(KdTree.build(ps), 10, knn)
-    assert(knn.made.isEmpty, s"CoreDist shared ${knn.made.map(_.valueClass.getSimpleName)}")
+    assert(knn.made.isEmpty, s"CoreDist shared ${knn.made.map(_.getSimpleName)}")
     val runs: Seq[(String, ParScheme => MstResult)] = Seq(
+      ("EMST-Naive", par => EmstNaive.mst(ps, par)),
+      ("EMST-GFK", par => EmstGfk.mst(ps, par)),
+      ("EMST-MemoGFK", par => EmstMemoGfk.mst(ps, par)),
+      ("EMST-Delaunay", par => EmstDelaunay.mst(ps2, par)),
       ("HDBSCAN*-GanTao", par => Hdbscan.mst(ps, 10, GanTao, par).mst),
       ("HDBSCAN*-MemoGFK", par => Hdbscan.mst(ps, 10, MemoGfk, par).mst),
       ("OPTICS-GanTaoApprox", par => OpticsApprox.mst(ps, 10, 0.125, par).mst))
     for ((name, run) <- runs) {
       val par = new CountingScheme(WideSeqScheme(7))
       val r = run(par)
-      val classes = par.made.map(_.valueClass.getSimpleName)
-      assert(r.edges.size == ps.n - 1, name)
-      assert(par.made.size <= 1 + r.stats.rounds, s"$name: $classes in ${r.stats.rounds} rounds")
-      assert(par.made.forall(_.releases == 1), s"$name releases ${par.made.map(_.releases)}")
-      assert(!par.made.exists(_.valueClass == classOf[KdTree]), s"$name shared a bare kd-tree: $classes")
+      assert(r.edges.size == 300 - 1, name)
+      assert(par.made.isEmpty, s"$name shared ${par.made.map(_.getSimpleName)}")
     }
   }
 }

@@ -1,29 +1,31 @@
 package repro.core
 
-import repro.{SparkSpec, TestUtil}
-import repro.geometry.Generators
+import org.scalatest.funsuite.AnyFunSuite
+
+import repro.TestUtil
+import repro.geometry.{Generators, PointSet}
 import repro.kdtree.KdTree
-import repro.par.{SeqScheme, SparkScheme}
-import repro.wspd.{Ctx, GeometricSep, MutualUnreachableSep, Wspd}
+import repro.mst.UnionFind
+import repro.par.{ForkJoinScheme, ParScheme, SeqScheme}
+import repro.wspd.{Ctx, EuclidMetric, GeometricSep, MutualReachMetric, MutualUnreachableSep,
+  WideSeqScheme, Wspd}
 
 /** Every algorithm must produce identical results under the sequential
-  * scheme and the Spark RDD fan-out scheme — the paper's "1 thread" vs
-  * "48 cores" methodology depends on the two code paths computing the same
-  * thing.
+  * scheme and the fork-join scheme — the paper's "1 thread" vs "48 cores"
+  * methodology depends on the two code paths computing the same thing.
+  * The older test names say "spark": the parallel scheme was Spark-backed
+  * then, and `SparkScheme` is now a name for the fork-join scheme.
   */
-class SparkParitySpec extends SparkSpec {
+class SparkParitySpec extends AnyFunSuite {
 
-  private lazy val par = new SparkScheme(spark.sparkContext)
+  private val par = ForkJoinScheme
 
   test("WSPD pairs match between seq and spark schemes") {
     val ps = TestUtil.randomPoints(400, 2, 1)
     val c = Ctx.euclidean(KdTree.build(ps))
-    val seqPairs = Wspd.allPairs(SeqScheme.share(c), GeometricSep(2.0), SeqScheme).toSet
-    val sc = par.share(c)
-    try {
-      val parPairs = Wspd.allPairs(sc, GeometricSep(2.0), par).toSet
-      assert(parPairs == seqPairs)
-    } finally sc.release()
+    val seqPairs = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme).toSet
+    val parPairs = Wspd.allPairs(c, GeometricSep(2.0), par).toSet
+    assert(parPairs == seqPairs)
   }
 
   test("EMST-Naive spark equals seq") {
@@ -46,7 +48,7 @@ class SparkParitySpec extends SparkSpec {
     val a = EmstMemoGfk.mst(ps, SeqScheme)
     val b = EmstMemoGfk.mst(ps, par)
     TestUtil.assertSameWeight(a.edges, b.edges)
-    // The round edges cross a Kryo collect as columns under Spark.
+    // The round edges are concatenated from the tasks' columns.
     assert(TestUtil.canonicalEdges(a.edges) == TestUtil.canonicalEdges(b.edges))
     TestUtil.assertSameWeight(b.edges, TestUtil.bruteEmst(ps))
   }
@@ -83,11 +85,8 @@ class SparkParitySpec extends SparkSpec {
     val ps = TestUtil.randomPoints(300, 3, 8)
     val cd = CoreDist.compute(KdTree.build(ps), 10, SeqScheme)
     val c = Ctx.mutualReach(KdTree.build(ps), cd)
-    val seqPairs = Wspd.allPairs(SeqScheme.share(c), MutualUnreachableSep, SeqScheme).toSet
-    val sc = par.share(c)
-    try {
-      assert(Wspd.allPairs(sc, MutualUnreachableSep, par).toSet == seqPairs)
-    } finally sc.release()
+    val seqPairs = Wspd.allPairs(c, MutualUnreachableSep, SeqScheme).toSet
+    assert(Wspd.allPairs(c, MutualUnreachableSep, par).toSet == seqPairs)
   }
 
   test("OPTICS approx spark equals seq") {
@@ -103,7 +102,7 @@ class SparkParitySpec extends SparkSpec {
     val mstPar = EmstMemoGfk.mst(ps, par).edges
     TestUtil.assertSameWeight(mstSeq, mstPar)
     val dSeq = Dendrogram.buildSequential(ps.n, mstSeq, s = 0)
-    // Build the parallel dendrogram on the Spark-produced MST: same point
+    // Build the parallel dendrogram on the fork-join MST: same point
     // set, same weights, so the plots must agree even if tie-broken edges
     // differ in identity (weights here are unique with probability 1).
     val dPar = Dendrogram.buildParallel(ps.n, mstPar, s = 0, cutoff = 64)
@@ -111,5 +110,59 @@ class SparkParitySpec extends SparkSpec {
     val (o2, b2) = dPar.reachabilityPlot()
     assert(o1.sameElements(o2))
     b1.zip(b2).foreach { case (x, y) => assert(x == y || math.abs(x - y) < 1e-9) }
+  }
+
+  /** The same frontier width as [[ForkJoinScheme]], run on one thread. */
+  private val wide = WideSeqScheme(ForkJoinScheme.targetTasks)
+
+  /** Uniform, clustered, tied (integer grid) and duplicated inputs. */
+  private val widthInputs: Seq[(String, PointSet)] = Seq(
+    ("ss-varden 3D", Generators.ssVarden(1500, 3, 31)),
+    ("uniform 2D", Generators.uniformFill(1500, 2, 32)),
+    ("grid 2D", TestUtil.integerGrid(30, 2)),
+    ("duplicates 3D", TestUtil.pointsWithDuplicates(800, 3, 33)))
+
+  test("fork-join MemoGFK and HDBSCAN* equal the one-thread run at the same width, edge for edge") {
+    val runs: Seq[(String, (PointSet, ParScheme) => MstResult)] = Seq(
+      ("EMST-MemoGFK", (ps, p) => EmstMemoGfk.mst(ps, p)),
+      ("HDBSCAN*-GanTao", (ps, p) => Hdbscan.mst(ps, 10, GanTao, p).mst),
+      ("HDBSCAN*-MemoGFK", (ps, p) => Hdbscan.mst(ps, 10, MemoGfk, p).mst))
+    for ((input, ps) <- widthInputs; (name, run) <- runs) {
+      val want = run(ps, wide)
+      val got = run(ps, par)
+      // Ordered edges with their orientation, and every count.
+      assert(got.edges == want.edges, s"$name on $input")
+      assert(got.stats == want.stats, s"$name on $input")
+      assert(run(ps, par) == got, s"$name on $input: two fork-join runs differ")
+    }
+  }
+
+  test("fork-join WSPD traversals return the one-thread results in task order") {
+    for ((input, ps) <- widthInputs) {
+      val tree = KdTree.build(ps)
+      val uf = new UnionFind(ps.n)
+      (0 until ps.n / 3).foreach(i => uf.union(i, i + 1))
+      val comp = Wspd.nodeComponents(tree, uf.snapshot())
+      val runs = Seq(
+        (Ctx.euclidean(tree), GeometricSep(2.0), EuclidMetric),
+        (Ctx.mutualReach(tree, CoreDist.compute(tree, 10, SeqScheme)), MutualUnreachableSep,
+          MutualReachMetric))
+      for ((c, sep, metric) <- runs) {
+        val at = s"$input, $sep"
+        assert(Wspd.allPairs(c, sep, par) == Wspd.allPairs(c, sep, wide), at)
+        for (beta <- Seq(2L, 64L))
+          assert(Wspd.getRho(c, sep, metric, beta, comp, par) ==
+            Wspd.getRho(c, sep, metric, beta, comp, wide), s"$at beta=$beta")
+        val rho = Wspd.getRho(c, sep, metric, 64L, comp, wide)
+        for ((lo, hi) <- Seq((0.0, rho), (0.0, Double.PositiveInfinity))) {
+          val want = Wspd.getPairs(c, sep, metric, lo, hi, comp, wide)
+          val got = Wspd.getPairs(c, sep, metric, lo, hi, comp, par)
+          assert(got.bccps == want.bccps, s"$at [$lo, $hi)")
+          // The batch columns in the order the tasks emitted them.
+          assert(got.edges.u.sameElements(want.edges.u) && got.edges.v.sameElements(want.edges.v) &&
+            got.edges.w.sameElements(want.edges.w), s"$at [$lo, $hi)")
+        }
+      }
+    }
   }
 }

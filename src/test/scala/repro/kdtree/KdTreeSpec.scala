@@ -208,4 +208,10 @@ class KdTreeSpec extends AnyFunSuite {
       assert(mx(a) == vals.max)
     }
   }
+
+  test("build rejects a leafSize below 1, naming it") {
+    val e = intercept[IllegalArgumentException](
+      KdTree.build(TestUtil.randomPoints(10, 2, 1), leafSize = 0))
+    assert(e.getMessage.contains("leafSize") && e.getMessage.contains("0"), e.getMessage)
+  }
 }

@@ -7,10 +7,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.kdtree.KdTree
 import repro.mst.UnionFind
-import repro.par.{ParScheme, SeqScheme, Shared}
+import repro.par.{ParScheme, SeqScheme}
 
 /** Runs every fan-out sequentially but asks for `width` tasks, so the WSPD
-  * frontier is cut as wide as under a parallel scheme, without Spark. Code
+  * frontier is cut as wide as under a parallel scheme, on one thread. Code
   * that runs on the fork-join pool when `targetTasks > 1` (the core-distance
   * k-NN, the Kruskal batch sort) runs there under a width above 1.
   */
@@ -22,8 +22,6 @@ final case class WideSeqScheme(width: Int) extends ParScheme {
 
   override def flatMapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => Seq[B]): IndexedSeq[B] =
     SeqScheme.flatMapItems(items)(f)
-
-  override def share[T: ClassTag](v: T): Shared[T] = SeqScheme.share(v)
 
   override def targetTasks: Int = width
 }
@@ -62,14 +60,14 @@ class WspdSpec extends AnyFunSuite {
   test("geometric WSPD is a valid realization of P x P") {
     for ((dim, seed) <- Seq((2, 1L), (3, 2L), (5, 3L))) {
       val c = euclidCtx(80, dim, seed)
-      checkRealization(c, Wspd.allPairs(SeqScheme.share(c), GeometricSep(2.0), SeqScheme))
+      checkRealization(c, Wspd.allPairs(c, GeometricSep(2.0), SeqScheme))
     }
   }
 
   test("geometric WSPD pairs are actually well-separated (s=2)") {
     val c = euclidCtx(100, 2, 4)
     val sep = GeometricSep(2.0)
-    val pairs = Wspd.allPairs(SeqScheme.share(c), sep, SeqScheme)
+    val pairs = Wspd.allPairs(c, sep, SeqScheme)
     pairs.foreach { case (a, b) =>
       val cd = c.tree.centerDist(a, b)
       assert(sep.wellSeparated(c, a, b, cd))
@@ -81,7 +79,7 @@ class WspdSpec extends AnyFunSuite {
   test("WSPD size is linear in n for uniform low-dimensional data") {
     for (n <- Seq(100, 200, 400)) {
       val c = euclidCtx(n, 2, 5)
-      val pairs = Wspd.allPairs(SeqScheme.share(c), GeometricSep(2.0), SeqScheme)
+      val pairs = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
       assert(pairs.size < 60 * n, s"n=$n produced ${pairs.size} pairs")
     }
   }
@@ -89,21 +87,21 @@ class WspdSpec extends AnyFunSuite {
   test("WSPD handles duplicate points") {
     val ps = TestUtil.pointsWithDuplicates(60, 2, 6)
     val c = Ctx.euclidean(KdTree.build(ps))
-    checkRealization(c, Wspd.allPairs(SeqScheme.share(c), GeometricSep(2.0), SeqScheme))
+    checkRealization(c, Wspd.allPairs(c, GeometricSep(2.0), SeqScheme))
   }
 
   test("higher separation constant produces at least as many pairs") {
     val c = euclidCtx(150, 2, 7)
-    val s2 = Wspd.allPairs(SeqScheme.share(c), GeometricSep(2.0), SeqScheme).size
-    val s4 = Wspd.allPairs(SeqScheme.share(c), GeometricSep(4.0), SeqScheme).size
+    val s2 = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme).size
+    val s4 = Wspd.allPairs(c, GeometricSep(4.0), SeqScheme).size
     assert(s4 >= s2)
   }
 
   test("new HDBSCAN* well-separation yields a valid realization with fewer pairs") {
     for (minPts <- Seq(5, 10)) {
       val c = mutualCtx(100, 2, 8, minPts)
-      val geo = Wspd.allPairs(SeqScheme.share(c), GeometricSep(2.0), SeqScheme)
-      val mix = Wspd.allPairs(SeqScheme.share(c), MutualUnreachableSep, SeqScheme)
+      val geo = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
+      val mix = Wspd.allPairs(c, MutualUnreachableSep, SeqScheme)
       checkRealization(c, mix)
       assert(mix.size <= geo.size,
         s"disjunction must terminate no later: ${mix.size} vs ${geo.size}")
@@ -112,7 +110,7 @@ class WspdSpec extends AnyFunSuite {
 
   test("mutually-unreachable pairs satisfy the definition") {
     val c = mutualCtx(80, 3, 9, 10)
-    val pairs = Wspd.allPairs(SeqScheme.share(c), MutualUnreachableSep, SeqScheme)
+    val pairs = Wspd.allPairs(c, MutualUnreachableSep, SeqScheme)
     val geom = GeometricSep(2.0)
     pairs.foreach { case (a, b) =>
       val cd = c.tree.centerDist(a, b)
@@ -139,15 +137,14 @@ class WspdSpec extends AnyFunSuite {
   test("getRho equals the brute-force minimum over large unconnected pairs") {
     val c = euclidCtx(90, 2, 11)
     val uf = new UnionFind(90)
-    val scomp = SeqScheme.share(Wspd.nodeComponents(c.tree, uf.snapshot()))
-    val sc = SeqScheme.share(c)
-    val all = Wspd.allPairs(sc, GeometricSep(2.0), SeqScheme)
+    val comp = Wspd.nodeComponents(c.tree, uf.snapshot())
+    val all = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
     for (beta <- Seq(2L, 8L, 64L)) {
       val brute = all
         .filter { case (a, b) => c.tree.size(a).toLong + c.tree.size(b) > beta }
         .map { case (a, b) => EuclidMetric.lb(c, a, b, c.tree.centerDist(a, b)) }
       val want = if (brute.isEmpty) Double.PositiveInfinity else brute.min
-      val got = Wspd.getRho(sc, GeometricSep(2.0), EuclidMetric, beta, scomp, SeqScheme)
+      val got = Wspd.getRho(c, GeometricSep(2.0), EuclidMetric, beta, comp, SeqScheme)
       assert(math.abs(got - want) < 1e-12 || (got.isPosInfinity && want.isPosInfinity),
         s"beta=$beta got=$got want=$want")
     }
@@ -155,34 +152,32 @@ class WspdSpec extends AnyFunSuite {
 
   test("getPairs over the full range returns one BCCP edge per WSPD pair") {
     val c = euclidCtx(70, 3, 12)
-    val sc = SeqScheme.share(c)
     val uf = new UnionFind(70)
-    val scomp = SeqScheme.share(Wspd.nodeComponents(c.tree, uf.snapshot()))
-    val all = Wspd.allPairs(sc, GeometricSep(2.0), SeqScheme)
-    val edges = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, scomp, SeqScheme).edges.toEdges
+    val comp = Wspd.nodeComponents(c.tree, uf.snapshot())
+    val all = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
+    val edges = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
+      0.0, Double.PositiveInfinity, comp, SeqScheme).edges.toEdges
     assert(edges.size == all.size)
     // Nothing is pruned over the full range, so every width computes one
     // BCCP per pair.
     for (par <- SeqScheme +: wideSchemes)
-      assert(Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
-        0.0, Double.PositiveInfinity, scomp, par).bccps == all.size, par.name)
+      assert(Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
+        0.0, Double.PositiveInfinity, comp, par).bccps == all.size, par.name)
     val wantWeights = all.map { case (a, b) => EuclidMetric.bccp(c, a, b).w }.sorted
     assert(edges.map(_.w).sorted.zip(wantWeights).forall { case (a, b) => math.abs(a - b) < 1e-12 })
   }
 
   test("getPairs respects the [rhoLo, rhoHi) window") {
     val c = euclidCtx(70, 2, 13)
-    val sc = SeqScheme.share(c)
     val uf = new UnionFind(70)
-    val scomp = SeqScheme.share(Wspd.nodeComponents(c.tree, uf.snapshot()))
-    val all = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, scomp, SeqScheme).edges.toEdges
+    val comp = Wspd.nodeComponents(c.tree, uf.snapshot())
+    val all = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
+      0.0, Double.PositiveInfinity, comp, SeqScheme).edges.toEdges
     val ws = all.map(_.w).sorted
     val lo = ws(ws.length / 4)
     val hi = ws(3 * ws.length / 4)
-    val window = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
-      lo, hi, scomp, SeqScheme).edges.toEdges
+    val window = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
+      lo, hi, comp, SeqScheme).edges.toEdges
     assert(window.forall(e => e.w >= lo && e.w < hi))
     assert(window.size == ws.count(w => w >= lo && w < hi))
   }
@@ -190,42 +185,41 @@ class WspdSpec extends AnyFunSuite {
   test("getPairs skips pairs already connected in the union-find") {
     val ps = TestUtil.randomPoints(40, 2, 14)
     val c = Ctx.euclidean(KdTree.build(ps))
-    val sc = SeqScheme.share(c)
     val uf = new UnionFind(ps.n)
     (0 until ps.n - 1).foreach(i => uf.union(i, i + 1)) // everything connected
-    val scomp = SeqScheme.share(Wspd.nodeComponents(c.tree, uf.snapshot()))
-    val edges = Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, scomp, SeqScheme).edges.toEdges
+    val comp = Wspd.nodeComponents(c.tree, uf.snapshot())
+    val edges = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
+      0.0, Double.PositiveInfinity, comp, SeqScheme).edges.toEdges
     assert(edges.isEmpty)
   }
 
   private val wideSchemes = Seq(2, 7, 64, 100000).map(WideSeqScheme)
 
   /** n uniform 2D points whose first third is chained into one component. */
-  private def partlyJoined(n: Int): (Ctx, Shared[Ctx], Shared[Array[Int]]) = {
+  private def partlyJoined(n: Int): (Ctx, Array[Int]) = {
     val c = euclidCtx(n, 2, 16L + n)
     val uf = new UnionFind(n)
     (0 until n / 3).foreach(i => uf.union(i, i + 1))
-    (c, SeqScheme.share(c), SeqScheme.share(Wspd.nodeComponents(c.tree, uf.snapshot())))
+    (c, Wspd.nodeComponents(c.tree, uf.snapshot()))
   }
 
   test("allPairs at every frontier width equals the sequential WSPD") {
     for (n <- Seq(1, 2, 90, 400)) {
-      val (_, sc, _) = partlyJoined(n)
-      val want = Wspd.allPairs(sc, GeometricSep(2.0), SeqScheme).sorted
+      val (c, _) = partlyJoined(n)
+      val want = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme).sorted
       for (par <- wideSchemes)
-        assert(Wspd.allPairs(sc, GeometricSep(2.0), par).sorted == want, s"n=$n ${par.name}")
+        assert(Wspd.allPairs(c, GeometricSep(2.0), par).sorted == want, s"n=$n ${par.name}")
     }
   }
 
   test("getPairs at every frontier width equals the sequential round") {
     for (n <- Seq(1, 2, 90, 400)) {
-      val (_, sc, scomp) = partlyJoined(n)
+      val (c, comp) = partlyJoined(n)
       // Edges only: the sphere lb is not monotone under refinement, so a
       // wide frontier can emit descendants of a pair the sequential run
       // pruned, and count more BCCPs; their edges fall outside the window.
       def round(lo: Double, hi: Double, par: ParScheme) =
-        Wspd.getPairs(sc, GeometricSep(2.0), EuclidMetric, lo, hi, scomp, par).edges.toEdges.sorted
+        Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric, lo, hi, comp, par).edges.toEdges.sorted
       val ws = round(0.0, Double.PositiveInfinity, SeqScheme).map(_.w)
       val partial = if (ws.isEmpty) (0.0, 1.0) else (ws(ws.length / 4), ws(3 * ws.length / 4))
       for ((lo, hi) <- Seq((0.0, Double.PositiveInfinity), partial)) {
@@ -240,13 +234,12 @@ class WspdSpec extends AnyFunSuite {
     // Not equal across widths: the sphere lb is not monotone under
     // refinement, so the `lb >= rho` prune depends on the visit order.
     for (n <- Seq(1, 2, 90, 400); beta <- Seq(2L, 8L, 64L)) {
-      val (c, sc, scomp) = partlyJoined(n)
-      val comp = scomp.value
-      val large = Wspd.allPairs(sc, GeometricSep(2.0), SeqScheme).filter { case (a, b) =>
+      val (c, comp) = partlyJoined(n)
+      val large = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme).filter { case (a, b) =>
         c.tree.size(a).toLong + c.tree.size(b) > beta && !(comp(a) >= 0 && comp(a) == comp(b))
       }
       for (par <- SeqScheme +: wideSchemes) {
-        val rho = Wspd.getRho(sc, GeometricSep(2.0), EuclidMetric, beta, scomp, par)
+        val rho = Wspd.getRho(c, GeometricSep(2.0), EuclidMetric, beta, comp, par)
         val at = s"n=$n beta=$beta ${par.name} rho=$rho"
         if (large.isEmpty) assert(rho.isPosInfinity, at)
         else {
