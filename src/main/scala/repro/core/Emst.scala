@@ -17,7 +17,7 @@ object EmstNaive {
     *                   materialized WSPD exceeds this many pairs
     */
   def mst(ps: PointSet, par: ParScheme, pairBudget: Long = Long.MaxValue): MstResult = {
-    val tree = KdTree.build(ps)
+    val tree = KdTree.build(ps, par = par)
     val ctx = Ctx.euclidean(tree)
     val pairs = Wspd.allPairs(ctx, GeometricSep(2.0), par)
     if (pairs.size > pairBudget)
@@ -44,7 +44,7 @@ object EmstGfk {
   private final class PairState(val a: Int, val b: Int, var edge: Edge)
 
   def mst(ps: PointSet, par: ParScheme, pairBudget: Long = Long.MaxValue): MstResult = {
-    val tree = KdTree.build(ps)
+    val tree = KdTree.build(ps, par = par)
     val ctx = Ctx.euclidean(tree)
     val wspd = Wspd.allPairs(ctx, GeometricSep(2.0), par)
     if (wspd.size > pairBudget)
@@ -81,7 +81,7 @@ object EmstGfk {
       Kruskal.runBatch(EdgeBatch.of(sl1.map(_.edge)), uf, out, parallel = par.targetTasks > 1)
       // Filter: discard pairs already connected in the union-find.
       val snap = uf.snapshot()
-      val comp = Wspd.nodeComponents(tree, snap)
+      val comp = Wspd.nodeComponents(tree, snap, par)
       s = (sl2 ++ su).filter { p =>
         if (p.edge != null) snap(p.edge.u) != snap(p.edge.v)
         else !(comp(p.a) >= 0 && comp(p.a) == comp(p.b))
@@ -101,7 +101,7 @@ object EmstGfk {
   */
 object EmstMemoGfk {
   def mst(ps: PointSet, par: ParScheme): MstResult = {
-    val tree = KdTree.build(ps)
+    val tree = KdTree.build(ps, par = par)
     MemoGfkEngine.mst(Ctx.euclidean(tree), GeometricSep(2.0), EuclidMetric, par)
   }
 }

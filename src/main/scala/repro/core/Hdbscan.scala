@@ -30,9 +30,9 @@ object Hdbscan {
 
   /** Computes the MST of the mutual reachability graph G_MR. */
   def mst(ps: PointSet, minPts: Int, variant: HdbscanVariant, par: ParScheme): HdbscanResult = {
-    val tree = KdTree.build(ps)
+    val tree = KdTree.build(ps, par = par)
     val cd = CoreDist.compute(tree, minPts, par)
-    val ctx = Ctx.mutualReach(tree, cd)
+    val ctx = Ctx.mutualReach(tree, cd, par)
     val res = MemoGfkEngine.mst(ctx, variant.sep, MutualReachMetric, par)
     HdbscanResult(res, cd)
   }

@@ -47,12 +47,13 @@ object MemoGfkEngine {
     var peak = 0L
     while (out.size < n - 1) {
       rounds += 1
-      val comp = Wspd.nodeComponents(ctx.tree, uf.snapshot())
+      val snap = uf.snapshot()
+      val comp = Wspd.nodeComponents(ctx.tree, snap, par)
       val rhoHi = Wspd.getRho(ctx, sep, metric, beta, comp, par)
-      val round = Wspd.getPairs(ctx, sep, metric, rhoLo, rhoHi, comp, par)
-      pairsMaterialized += round.edges.size
+      val round = Wspd.getPairs(ctx, sep, metric, rhoLo, rhoHi, comp, snap, par)
+      pairsMaterialized += round.inWindow
       bccpComputed += round.bccps
-      peak = math.max(peak, round.edges.size.toLong)
+      peak = math.max(peak, round.inWindow)
       Kruskal.runBatch(round.edges, uf, out, parallel = par.targetTasks > 1)
       beta *= 2
       rhoLo = rhoHi

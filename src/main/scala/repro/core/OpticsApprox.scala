@@ -20,9 +20,9 @@ object OpticsApprox {
   def mst(ps: PointSet, minPts: Int, rho: Double, par: ParScheme): HdbscanResult = {
     require(rho > 0, s"rho must be positive, got $rho")
     val s = math.sqrt(8.0 / rho)
-    val tree = KdTree.build(ps)
+    val tree = KdTree.build(ps, par = par)
     val cd = CoreDist.compute(tree, minPts, par)
-    val ctx = Ctx.mutualReach(tree, cd)
+    val ctx = Ctx.mutualReach(tree, cd, par)
     val pairs = Wspd.allPairs(ctx, GeometricSep(s), par)
     val edges = par.flatMapItems(pairs) { case (a, b) => pairEdges(ctx, a, b, minPts, rho) }
     val mst = Kruskal.mst(ps.n, edges)

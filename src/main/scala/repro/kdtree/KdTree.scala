@@ -1,6 +1,7 @@
 package repro.kdtree
 
 import repro.geometry.PointSet
+import repro.par.{Fork, ParScheme, SeqScheme}
 
 /** Array-based spatial-median kd-tree (§2.3, §3.1.1).
   *
@@ -19,6 +20,12 @@ import repro.geometry.PointSet
   * The build also stores each node's box center and circumscribing-sphere
   * radius, so the separation and bound tests of the WSPD traversals read
   * them instead of looping over the box on every visit.
+  *
+  * Under a parallel scheme three tree passes fork their two children on the
+  * JVM's common fork-join pool above [[KdTree.ForkGrain]] points: the build
+  * ([[KdTree.build]], leaf size 1 only) and the bottom-up node passes of
+  * [[KdTree.bottomUp]] (the core-distance stats and the per-round
+  * `Wspd.nodeComponents`). Each gives the same arrays as its inline run.
   */
 final class KdTree(
     val points: PointSet,
@@ -150,6 +157,27 @@ final class KdTree(
 
   /** Point ids under node `a` (copy; for tests and small-scale code). */
   def pointsUnder(a: Int): Array[Int] = perm.slice(lo(a), hi(a))
+
+  /** Calls `visit(a)` once for every node `a`, each after both its
+    * children: the order of the bottom-up node passes
+    * ([[KdTree.coreDistStats]], `Wspd.nodeComponents`). A node of more than
+    * [[KdTree.ForkGrain]] points visits its two subtrees with
+    * [[Fork.join2]] under `par`; a smaller subtree, a contiguous id range in
+    * the pre-order layout, is visited by one loop over its ids from the
+    * last down.
+    */
+  def bottomUp(par: ParScheme)(visit: Int => Unit): Unit = {
+    def go(a: Int): Unit =
+      if (!isLeaf(a) && size(a) > KdTree.ForkGrain) {
+        Fork.join2(par)(go(left(a)), go(right(a)))
+        visit(a)
+      } else {
+        var last = a // the subtree's last pre-order id: down its right spine
+        while (!isLeaf(last)) last = right(last)
+        while (last >= a) { visit(last); last -= 1 }
+      }
+    go(root)
+  }
 }
 
 object KdTree {
@@ -161,12 +189,25 @@ object KdTree {
     */
   private val KnnBucket = 16
 
+  /** Points above which a tree pass forks its two children; a subtree of
+    * fewer points is built or visited inline, so a forked task is never
+    * smaller than a few thousand nodes' work.
+    */
+  private[kdtree] val ForkGrain = 4096
+
   /** Builds a kd-tree over `ps`. `leafSize` defaults to 1 (required by the
     * WSPD); k-NN-only callers may use a larger leaf. Every kd-tree-based
     * EMST, HDBSCAN* and OPTICS entry point builds its tree here first, so
     * this is where they reject an empty point set.
+    *
+    * With `leafSize` 1, a node of more than [[ForkGrain]] points builds
+    * its two children with [[Fork.join2]] under `par`: a subtree of m points
+    * then has exactly 2m − 1 nodes, so the right child's id is known before
+    * the left subtree is built. Children partition disjoint slices of
+    * `perm` and write disjoint node ids, so every array equals the inline
+    * build's. A tree with larger leaves builds inline.
     */
-  def build(ps: PointSet, leafSize: Int = 1): KdTree = {
+  def build(ps: PointSet, leafSize: Int = 1, par: ParScheme = SeqScheme): KdTree = {
     require(ps.n >= 1, s"empty point set: ${ps.dim}-dimensional, no points")
     require(leafSize >= 1, s"leafSize must be at least 1, got $leafSize")
     val n = ps.n
@@ -183,11 +224,8 @@ object KdTree {
     val bMax = new Array[Double](maxNodes * dim)
     val ctr = new Array[Double](maxNodes * dim)
     val rad = new Array[Double](maxNodes)
-    var nNodes = 0
 
-    def newNode(lo: Int, hi: Int): Int = {
-      val a = nNodes
-      nNodes += 1
+    def setNode(a: Int, lo: Int, hi: Int): Unit = {
       loA(a) = lo; hiA(a) = hi; leftA(a) = -1; rightA(a) = -1
       var s = 0.0
       var k = 0
@@ -209,12 +247,14 @@ object KdTree {
         k += 1
       }
       rad(a) = 0.5 * math.sqrt(s)
-      a
     }
 
-    def buildRange(lo: Int, hi: Int): Int = {
-      val a = newNode(lo, hi)
-      if (hi - lo > leafSize) {
+    // Builds the subtree over perm(lo until hi) with root id `a`, in
+    // pre-order; returns the id after its last node.
+    def buildRange(a: Int, lo: Int, hi: Int): Int = {
+      setNode(a, lo, hi)
+      if (hi - lo <= leafSize) a + 1
+      else {
         // Widest dimension of the bounding box.
         var wd = 0
         var wBest = -1.0
@@ -244,16 +284,20 @@ object KdTree {
         } else {
           mid = lo + (hi - lo) / 2 // all points identical: split by count
         }
-        val l = buildRange(lo, mid)
-        val r = buildRange(mid, hi)
-        leftA(a) = l
-        rightA(a) = r
+        leftA(a) = a + 1
+        if (leafSize == 1 && hi - lo > ForkGrain) {
+          val r = a + 2 * (mid - lo)
+          rightA(a) = r
+          Fork.join2(par)(buildRange(a + 1, lo, mid), buildRange(r, mid, hi))._2
+        } else {
+          val r = buildRange(a + 1, lo, mid)
+          rightA(a) = r
+          buildRange(r, mid, hi)
+        }
       }
-      a
     }
 
-    require(n > 0, "empty point set")
-    buildRange(0, n)
+    val nNodes = buildRange(0, 0, n)
     new KdTree(ps, perm, loA, hiA, leftA, rightA, bMin, bMax, ctr, rad, nNodes)
   }
 
@@ -288,14 +332,13 @@ object KdTree {
     }
 
   /** Per-node min and max core distance (cd_min(A), cd_max(A) of Table 1),
-    * computed bottom-up given per-point core distances. Valid because
-    * children have larger indices than parents in the pre-order layout.
+    * computed bottom-up given per-point core distances, as a
+    * [[KdTree.bottomUp]] pass under `par`.
     */
-  def coreDistStats(t: KdTree, cd: Array[Double]): (Array[Double], Array[Double]) = {
+  def coreDistStats(t: KdTree, cd: Array[Double], par: ParScheme = SeqScheme): (Array[Double], Array[Double]) = {
     val mn = new Array[Double](t.nNodes)
     val mx = new Array[Double](t.nNodes)
-    var a = t.nNodes - 1
-    while (a >= 0) {
+    t.bottomUp(par) { a =>
       if (t.isLeaf(a)) {
         var lo = Double.PositiveInfinity
         var hi = Double.NegativeInfinity
@@ -311,7 +354,6 @@ object KdTree {
         mn(a) = math.min(mn(t.left(a)), mn(t.right(a)))
         mx(a) = math.max(mx(t.left(a)), mx(t.right(a)))
       }
-      a -= 1
     }
     (mn, mx)
   }

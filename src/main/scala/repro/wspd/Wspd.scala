@@ -4,7 +4,7 @@ import scala.collection.mutable.ArrayBuffer
 
 import repro.kdtree.KdTree
 import repro.mst.{Edge, EdgeBatch}
-import repro.par.ParScheme
+import repro.par.{ParScheme, SeqScheme}
 
 /** Shared read-only context for WSPD traversals: the kd-tree plus, for
   * HDBSCAN*, per-point core distances and per-node core-distance stats.
@@ -21,9 +21,11 @@ object Ctx {
   /** Context for plain EMST (no core distances). */
   def euclidean(tree: KdTree): Ctx = Ctx(tree, null, null, null)
 
-  /** Context for HDBSCAN* with the given per-point core distances. */
-  def mutualReach(tree: KdTree, cd: Array[Double]): Ctx = {
-    val (mn, mx) = KdTree.coreDistStats(tree, cd)
+  /** Context for HDBSCAN* with the given per-point core distances; the
+    * per-node stats are computed under `par`.
+    */
+  def mutualReach(tree: KdTree, cd: Array[Double], par: ParScheme = SeqScheme): Ctx = {
+    val (mn, mx) = KdTree.coreDistStats(tree, cd, par)
     Ctx(tree, cd, mn, mx)
   }
 }
@@ -260,13 +262,12 @@ object Wspd {
 
   /** Per-node union-find purity: `nodeComp(a)` is the component root if all
     * points under `a` share one component, else -1. Recomputed each GFK
-    * round from a union-find snapshot; drives the "already connected"
-    * pruning of Algorithm 3.
+    * round from a union-find snapshot, as a [[KdTree.bottomUp]] pass under
+    * `par`; drives the "already connected" pruning of Algorithm 3.
     */
-  def nodeComponents(t: KdTree, snap: Array[Int]): Array[Int] = {
+  def nodeComponents(t: KdTree, snap: Array[Int], par: ParScheme = SeqScheme): Array[Int] = {
     val out = new Array[Int](t.nNodes)
-    var a = t.nNodes - 1
-    while (a >= 0) {
+    t.bottomUp(par) { a =>
       if (t.isLeaf(a)) {
         var comp = snap(t.perm(t.lo(a)))
         var i = t.lo(a) + 1
@@ -279,7 +280,6 @@ object Wspd {
         val l = out(t.left(a)); val r = out(t.right(a))
         out(a) = if (l >= 0 && l == r) l else -1
       }
-      a -= 1
     }
     out
   }
@@ -319,17 +319,22 @@ object Wspd {
       rho
     }.foldLeft(Double.PositiveInfinity)(math.min)
 
-  /** Result of one GetPairs round: the in-window edges, and the number of
-    * BCCPs computed to find them (one per emitted pair, in window or not).
+  /** Result of one GetPairs round: the in-window edges that join two
+    * components of the round's snapshot, the number of in-window edges
+    * before that filter, and the number of BCCPs computed to find them (one
+    * per emitted pair, in window or not).
     */
-  final case class PairsRound(edges: EdgeBatch, bccps: Long)
+  final case class PairsRound(edges: EdgeBatch, inWindow: Long, bccps: Long)
 
   /** MemoGFK's GetPairs (Algorithm 3, line 5): materializes the BCCP edges
     * of well-separated, not-yet-connected pairs whose BCCP weight falls in
     * `[rhoLo, rhoHi)`, pruning subtrees whose bounds put them out of range
-    * (Figure 3b). Each task appends its edges to primitive columns, and the
-    * round concatenates them into one batch, in task order. `comp` is as in
-    * [[getRho]].
+    * (Figure 3b). An in-window edge whose endpoints already share a root in
+    * `snap`, the round's union-find snapshot, is counted and dropped, as
+    * GeoFilterKruskal's Filter step (Algorithm 2) drops it: Kruskal would
+    * reject it. Each task appends its kept edges to primitive columns, and
+    * the round concatenates them into one batch, in task order. `comp` is
+    * as in [[getRho]].
     */
   def getPairs(
       c: Ctx,
@@ -338,17 +343,22 @@ object Wspd {
       rhoLo: Double,
       rhoHi: Double,
       comp: Array[Int],
+      snap: Array[Int],
       par: ParScheme,
   ): PairsRound = {
     val rounds = par.mapItems(frontier(c, sep, par.targetTasks)) { task =>
       val out = new EdgeBatch.Builder
+      var inWindow = 0L
       var bccps = 0L
       findPairsRec(c, sep, task,
         emit = (a, b, _) => {
           // Bounds may not exclude the pair, but the exact BCCP decides.
           val e = metric.bccp(c, a, b)
           bccps += 1
-          if (e.w >= rhoLo && e.w < rhoHi) out.add(e.u, e.v, e.w)
+          if (e.w >= rhoLo && e.w < rhoHi) {
+            inWindow += 1
+            if (snap(e.u) != snap(e.v)) out.add(e.u, e.v, e.w)
+          }
         },
         pruneNode = a => comp(a) >= 0,
         prunePair = (a, b, cd) => {
@@ -356,8 +366,8 @@ object Wspd {
           lbPrunes(metric.lb(c, a, b, cd), rhoHi) ||
           ubPrunes(metric.ub(c, a, b, cd), rhoLo)
         })
-      (out.result(), bccps)
+      (out.result(), inWindow, bccps)
     }
-    PairsRound(EdgeBatch.concat(rounds.map(_._1)), rounds.map(_._2).sum)
+    PairsRound(EdgeBatch.concat(rounds.map(_._1)), rounds.map(_._2).sum, rounds.map(_._3).sum)
   }
 }

@@ -142,7 +142,8 @@ class SparkParitySpec extends AnyFunSuite {
       val tree = KdTree.build(ps)
       val uf = new UnionFind(ps.n)
       (0 until ps.n / 3).foreach(i => uf.union(i, i + 1))
-      val comp = Wspd.nodeComponents(tree, uf.snapshot())
+      val snap = uf.snapshot()
+      val comp = Wspd.nodeComponents(tree, snap)
       val runs = Seq(
         (Ctx.euclidean(tree), GeometricSep(2.0), EuclidMetric),
         (Ctx.mutualReach(tree, CoreDist.compute(tree, 10, SeqScheme)), MutualUnreachableSep,
@@ -155,8 +156,8 @@ class SparkParitySpec extends AnyFunSuite {
             Wspd.getRho(c, sep, metric, beta, comp, wide), s"$at beta=$beta")
         val rho = Wspd.getRho(c, sep, metric, 64L, comp, wide)
         for ((lo, hi) <- Seq((0.0, rho), (0.0, Double.PositiveInfinity))) {
-          val want = Wspd.getPairs(c, sep, metric, lo, hi, comp, wide)
-          val got = Wspd.getPairs(c, sep, metric, lo, hi, comp, par)
+          val want = Wspd.getPairs(c, sep, metric, lo, hi, comp, snap, wide)
+          val got = Wspd.getPairs(c, sep, metric, lo, hi, comp, snap, par)
           assert(got.bccps == want.bccps, s"$at [$lo, $hi)")
           // The batch columns in the order the tasks emitted them.
           assert(got.edges.u.sameElements(want.edges.u) && got.edges.v.sameElements(want.edges.v) &&

@@ -1,8 +1,14 @@
 package repro.kdtree
 
+import java.util.Arrays
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
+import repro.geometry.{Generators, PointSet}
+import repro.mst.UnionFind
+import repro.par.{ForkJoinScheme, SeqScheme}
+import repro.wspd.Wspd
 
 class KdTreeSpec extends AnyFunSuite {
 
@@ -206,6 +212,84 @@ class KdTreeSpec extends AnyFunSuite {
       val vals = t.pointsUnder(a).map(cd)
       assert(mn(a) == vals.min)
       assert(mx(a) == vals.max)
+    }
+  }
+
+  private val grain = KdTree.ForkGrain
+
+  /** Inputs for the forked build, every one but the small sizes holding at
+    * least 4 × [[KdTree.ForkGrain]] points, so forks happen several levels
+    * deep.
+    */
+  private def forkInputs: Seq[(String, PointSet)] = {
+    val big = 5 * grain
+    val uniform2 = Generators.uniformFill(big, 2, 3)
+    Seq(
+      "uniform 2D" -> uniform2,
+      "uniform 7D" -> Generators.uniformFill(big, 7, 4),
+      "SS-varden 3D" -> Generators.ssVarden(big, 3, 5),
+      "integer grid" -> TestUtil.integerGrid(150, 2),
+      "all duplicates" -> PointSet.fromRows(Seq.fill(big)(Array(3.0, 4.0))),
+      "collinear line" -> PointSet.fromRows(Seq.tabulate(big)(i => Array(0.5 * i, 2.0 * i - 7.0))),
+      "1e9 offset" -> new PointSet(uniform2.coords.map(_ + 1e9), 2),
+    ) ++ Seq(1, 2, grain, grain + 1).map(n => s"n=$n" -> Generators.uniformFill(n, 2, 6))
+  }
+
+  /** Asserts every array of `b` and its node count equal `a`'s, bit for bit. */
+  private def assertSameTree(a: KdTree, b: KdTree, at: String): Unit = {
+    assert(a.nNodes == b.nNodes, at)
+    for ((name, x, y) <- Seq(("perm", a.perm, b.perm), ("lo", a.lo, b.lo), ("hi", a.hi, b.hi),
+        ("left", a.left, b.left), ("right", a.right, b.right)))
+      assert(Arrays.equals(x, y), s"$at: $name")
+    assert(Arrays.equals(a.boxMin, b.boxMin) && Arrays.equals(a.boxMax, b.boxMax), s"$at: boxes")
+    def centers(t: KdTree) = Array.tabulate(t.nNodes * t.dim)(i => t.center(i / t.dim, i % t.dim))
+    def radii(t: KdTree) = Array.tabulate(t.nNodes)(t.radius)
+    assert(Arrays.equals(centers(a), centers(b)), s"$at: centers")
+    assert(Arrays.equals(radii(a), radii(b)), s"$at: radii")
+  }
+
+  test("the forked build equals the inline build bit for bit") {
+    for ((name, ps) <- forkInputs; leafSize <- Seq(1, 8)) {
+      val at = s"$name, leafSize=$leafSize"
+      val inline = KdTree.build(ps, leafSize, SeqScheme)
+      val forked = KdTree.build(ps, leafSize, ForkJoinScheme)
+      assertSameTree(inline, forked, at)
+      assertSameTree(inline, KdTree.build(ps, leafSize), s"$at, default scheme")
+      if (leafSize == 1) assert(forked.nNodes == 2 * ps.n - 1, at)
+      if (ps.n <= 2 * grain) checkInvariants(forked)
+    }
+  }
+
+  test("the forked node passes equal brute force under every union-find state") {
+    val ps = Generators.uniformFill(5 * grain, 2, 7)
+    val cd = Array.tabulate(ps.n)(i => ((i * 7919L) % 1009).toDouble)
+    val rnd = new java.util.Random(8)
+    val states: Seq[(String, UnionFind => Unit)] = Seq(
+      "fresh" -> (_ => ()),
+      "first third chained" -> (uf => (0 until ps.n / 3).foreach(i => uf.union(i, i + 1))),
+      "fully joined" -> (uf => (0 until ps.n - 1).foreach(i => uf.union(i, i + 1))),
+      "random unions" -> (uf => (0 until ps.n).foreach(_ => uf.union(rnd.nextInt(ps.n), rnd.nextInt(ps.n)))),
+    )
+    for (leafSize <- Seq(1, 8)) {
+      val t = KdTree.build(ps, leafSize)
+      val under = Array.tabulate(t.nNodes)(t.pointsUnder)
+      for (par <- Seq(SeqScheme, ForkJoinScheme)) {
+        val at = s"leafSize=$leafSize ${par.name}"
+        val (mn, mx) = KdTree.coreDistStats(t, cd, par)
+        for (a <- 0 until t.nNodes) {
+          assert(mn(a) == under(a).map(cd).min && mx(a) == under(a).map(cd).max, s"$at node $a")
+        }
+        for ((state, join) <- states) {
+          val uf = new UnionFind(ps.n)
+          join(uf)
+          val snap = uf.snapshot()
+          val comp = Wspd.nodeComponents(t, snap, par)
+          for (a <- 0 until t.nNodes) {
+            val roots = under(a).map(snap).distinct
+            assert(comp(a) == (if (roots.length == 1) roots.head else -1), s"$at $state node $a")
+          }
+        }
+      }
     }
   }
 

@@ -84,4 +84,28 @@ class ParSchemeSpec extends SparkSpec {
       assert(jobs.get == 0, s"${jobs.get} Spark jobs")
     } finally sc.removeSparkListener(listener)
   }
+
+  test("Fork.join2 runs both thunks on the caller under SeqScheme, and forks under ForkJoinScheme") {
+    val caller = Thread.currentThread
+    var ran = Seq.empty[Thread]
+    val seq = Fork.join2(SeqScheme)({ ran :+= Thread.currentThread; 1 }, { ran :+= Thread.currentThread; "b" })
+    assert(seq == ((1, "b")) && ran == Seq(caller, caller))
+    // `a` waits until `b` has started, so `b` must run on a pool thread.
+    val started = new java.util.concurrent.CountDownLatch(1)
+    @volatile var bThread: Thread = null
+    val (aSawB, b) = Fork.join2(ForkJoinScheme)(
+      started.await(30, java.util.concurrent.TimeUnit.SECONDS),
+      { bThread = Thread.currentThread; started.countDown(); 2 })
+    assert(aSawB && b == 2)
+    assert(bThread != null && bThread != caller)
+    // Nested forks all run and their results are joined.
+    def sum(lo: Int, hi: Int): Long =
+      if (hi - lo <= 64) (lo until hi).map(_.toLong).sum
+      else {
+        val mid = (lo + hi) >>> 1
+        val (l, r) = Fork.join2(ForkJoinScheme)(sum(lo, mid), sum(mid, hi))
+        l + r
+      }
+    assert(sum(0, 100000) == 100000L * 99999 / 2)
+  }
 }

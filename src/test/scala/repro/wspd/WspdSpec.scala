@@ -7,7 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.kdtree.KdTree
 import repro.mst.UnionFind
-import repro.par.{ParScheme, SeqScheme}
+import repro.par.{ForkJoinScheme, ParScheme, SeqScheme}
 
 /** Runs every fan-out sequentially but asks for `width` tasks, so the WSPD
   * frontier is cut as wide as under a parallel scheme, on one thread. Code
@@ -153,16 +153,17 @@ class WspdSpec extends AnyFunSuite {
   test("getPairs over the full range returns one BCCP edge per WSPD pair") {
     val c = euclidCtx(70, 3, 12)
     val uf = new UnionFind(70)
-    val comp = Wspd.nodeComponents(c.tree, uf.snapshot())
+    val snap = uf.snapshot()
+    val comp = Wspd.nodeComponents(c.tree, snap)
     val all = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
     val edges = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, comp, SeqScheme).edges.toEdges
+      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges.toEdges
     assert(edges.size == all.size)
     // Nothing is pruned over the full range, so every width computes one
     // BCCP per pair.
     for (par <- SeqScheme +: wideSchemes)
       assert(Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-        0.0, Double.PositiveInfinity, comp, par).bccps == all.size, par.name)
+        0.0, Double.PositiveInfinity, comp, snap, par).bccps == all.size, par.name)
     val wantWeights = all.map { case (a, b) => EuclidMetric.bccp(c, a, b).w }.sorted
     assert(edges.map(_.w).sorted.zip(wantWeights).forall { case (a, b) => math.abs(a - b) < 1e-12 })
   }
@@ -170,14 +171,15 @@ class WspdSpec extends AnyFunSuite {
   test("getPairs respects the [rhoLo, rhoHi) window") {
     val c = euclidCtx(70, 2, 13)
     val uf = new UnionFind(70)
-    val comp = Wspd.nodeComponents(c.tree, uf.snapshot())
+    val snap = uf.snapshot()
+    val comp = Wspd.nodeComponents(c.tree, snap)
     val all = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, comp, SeqScheme).edges.toEdges
+      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges.toEdges
     val ws = all.map(_.w).sorted
     val lo = ws(ws.length / 4)
     val hi = ws(3 * ws.length / 4)
     val window = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      lo, hi, comp, SeqScheme).edges.toEdges
+      lo, hi, comp, snap, SeqScheme).edges.toEdges
     assert(window.forall(e => e.w >= lo && e.w < hi))
     assert(window.size == ws.count(w => w >= lo && w < hi))
   }
@@ -187,25 +189,29 @@ class WspdSpec extends AnyFunSuite {
     val c = Ctx.euclidean(KdTree.build(ps))
     val uf = new UnionFind(ps.n)
     (0 until ps.n - 1).foreach(i => uf.union(i, i + 1)) // everything connected
-    val comp = Wspd.nodeComponents(c.tree, uf.snapshot())
+    val snap = uf.snapshot()
+    val comp = Wspd.nodeComponents(c.tree, snap)
     val edges = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, comp, SeqScheme).edges.toEdges
+      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges.toEdges
     assert(edges.isEmpty)
   }
 
   private val wideSchemes = Seq(2, 7, 64, 100000).map(WideSeqScheme)
 
-  /** n uniform 2D points whose first third is chained into one component. */
-  private def partlyJoined(n: Int): (Ctx, Array[Int]) = {
+  /** n uniform 2D points whose first third is chained into one component,
+    * with the union-find snapshot and its node components.
+    */
+  private def partlyJoined(n: Int): (Ctx, Array[Int], Array[Int]) = {
     val c = euclidCtx(n, 2, 16L + n)
     val uf = new UnionFind(n)
     (0 until n / 3).foreach(i => uf.union(i, i + 1))
-    (c, Wspd.nodeComponents(c.tree, uf.snapshot()))
+    val snap = uf.snapshot()
+    (c, snap, Wspd.nodeComponents(c.tree, snap))
   }
 
   test("allPairs at every frontier width equals the sequential WSPD") {
     for (n <- Seq(1, 2, 90, 400)) {
-      val (c, _) = partlyJoined(n)
+      val (c, _, _) = partlyJoined(n)
       val want = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme).sorted
       for (par <- wideSchemes)
         assert(Wspd.allPairs(c, GeometricSep(2.0), par).sorted == want, s"n=$n ${par.name}")
@@ -214,12 +220,12 @@ class WspdSpec extends AnyFunSuite {
 
   test("getPairs at every frontier width equals the sequential round") {
     for (n <- Seq(1, 2, 90, 400)) {
-      val (c, comp) = partlyJoined(n)
+      val (c, snap, comp) = partlyJoined(n)
       // Edges only: the sphere lb is not monotone under refinement, so a
       // wide frontier can emit descendants of a pair the sequential run
       // pruned, and count more BCCPs; their edges fall outside the window.
       def round(lo: Double, hi: Double, par: ParScheme) =
-        Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric, lo, hi, comp, par).edges.toEdges.sorted
+        Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric, lo, hi, comp, snap, par).edges.toEdges.sorted
       val ws = round(0.0, Double.PositiveInfinity, SeqScheme).map(_.w)
       val partial = if (ws.isEmpty) (0.0, 1.0) else (ws(ws.length / 4), ws(3 * ws.length / 4))
       for ((lo, hi) <- Seq((0.0, Double.PositiveInfinity), partial)) {
@@ -230,11 +236,45 @@ class WspdSpec extends AnyFunSuite {
     }
   }
 
+  test("getPairs drops an in-window edge whose endpoints share a snapshot root, and counts it") {
+    val rnd = new java.util.Random(17)
+    for (n <- Seq(90, 400); metricCtx <- Seq("euclid", "mutual")) {
+      val c = if (metricCtx == "euclid") euclidCtx(n, 2, 16L + n) else mutualCtx(n, 2, 16L + n, 5)
+      val (sep, metric) =
+        if (metricCtx == "euclid") (GeometricSep(2.0), EuclidMetric)
+        else (MutualUnreachableSep, MutualReachMetric)
+      val uf = new UnionFind(n)
+      (0 until n / 3).foreach(i => uf.union(i, i + 1))
+      (0 until n / 4).foreach(_ => uf.union(rnd.nextInt(n), rnd.nextInt(n)))
+      val snap = uf.snapshot()
+      val comp = Wspd.nodeComponents(c.tree, snap)
+      val pairs = Wspd.allPairs(c, sep, SeqScheme)
+      val bccps = pairs.map { case (a, b) => metric.bccp(c, a, b) }
+      val ws = bccps.map(_.w).sorted
+      for ((lo, hi) <- Seq((0.0, Double.PositiveInfinity), (ws(ws.length / 4), ws(3 * ws.length / 4)))) {
+        val inWindow = pairs.zip(bccps).filter { case (_, e) => e.w >= lo && e.w < hi }
+        val want = inWindow.map(_._2).filter(e => snap(e.u) != snap(e.v)).sorted
+        // The edges counted: those of every in-window pair but the ones
+        // inside one pure node, which are pruned before their BCCP.
+        val counted = inWindow.count { case ((a, b), _) => !(comp(a) >= 0 && comp(a) == comp(b)) }
+        assert(want.size < counted, s"n=$n $metricCtx [$lo, $hi): the state drops nothing")
+        for (par <- SeqScheme +: ForkJoinScheme +: wideSchemes) {
+          val at = s"n=$n $metricCtx [$lo, $hi) ${par.name}"
+          val round = Wspd.getPairs(c, sep, metric, lo, hi, comp, snap, par)
+          val got = round.edges.toEdges
+          assert(got.forall(e => snap(e.u) != snap(e.v)), at)
+          assert(got.sorted == want, at)
+          assert(round.inWindow == counted, at)
+        }
+      }
+    }
+  }
+
   test("getRho at every frontier width is the lb of a large unconnected pair and bounds their BCCPs") {
     // Not equal across widths: the sphere lb is not monotone under
     // refinement, so the `lb >= rho` prune depends on the visit order.
     for (n <- Seq(1, 2, 90, 400); beta <- Seq(2L, 8L, 64L)) {
-      val (c, comp) = partlyJoined(n)
+      val (c, snap, comp) = partlyJoined(n)
       val large = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme).filter { case (a, b) =>
         c.tree.size(a).toLong + c.tree.size(b) > beta && !(comp(a) >= 0 && comp(a) == comp(b))
       }
