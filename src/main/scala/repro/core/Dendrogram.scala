@@ -23,7 +23,7 @@ final class Dendrogram(
     val right: Array[Int],
     val weight: Array[Double],
     val root: Int,
-) extends Serializable {
+) {
 
   @inline def isLeaf(node: Int): Boolean = node < n
 

@@ -5,7 +5,7 @@ package repro.geometry
   * Coordinates are stored in one flat row-major `Array[Double]` so the BCCP
   * inner loops stay allocation-free. Point ids are `0 until n`.
   */
-final class PointSet(val coords: Array[Double], val dim: Int) extends Serializable {
+final class PointSet(val coords: Array[Double], val dim: Int) {
   require(dim > 0, s"dim must be positive, got $dim")
   require(coords.length % dim == 0,
     s"coords length ${coords.length} is not a multiple of dim $dim")

@@ -39,7 +39,7 @@ final class KdTree(
     centers: Array[Double],
     radii: Array[Double],
     val nNodes: Int,
-) extends Serializable {
+) {
 
   val dim: Int = points.dim
 

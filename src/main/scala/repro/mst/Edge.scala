@@ -1,7 +1,7 @@
 package repro.mst
 
 /** A weighted undirected edge between point ids `u` and `v`. */
-final case class Edge(u: Int, v: Int, w: Double) extends Serializable
+final case class Edge(u: Int, v: Int, w: Double)
 
 object Edge {
 

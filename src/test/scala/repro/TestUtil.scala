@@ -41,6 +41,15 @@ object TestUtil {
     new PointSet(coords, dim)
   }
 
+  /** `n` points spaced evenly on a circle of radius 1000: every triangle of
+    * consecutive points has (up to rounding) the same circumcircle.
+    */
+  def cocircularRing(n: Int): PointSet =
+    PointSet.fromRows((0 until n).map { i =>
+      val a = 2 * math.Pi * i / n
+      Array(1000 * math.cos(a), 1000 * math.sin(a))
+    })
+
   /** Clustered points (two Gaussian blobs + noise) for skewed-shape tests. */
   def clusteredPoints(n: Int, dim: Int, seed: Long): PointSet = {
     val rnd = new Random(seed)

@@ -128,8 +128,17 @@ class EmstSpec extends AnyFunSuite {
 class EmstDelaunaySpec extends AnyFunSuite {
 
   test("EMST-Delaunay matches dense Prim on random 2D data") {
-    for (seed <- Seq(1L, 2L, 3L)) {
-      val ps = TestUtil.randomPoints(150, 2, seed)
+    // Also on the sets that are hardest for floating-point predicates:
+    // ties, cocircular and collinear points, a large coordinate offset,
+    // all-equal points and the smallest sizes.
+    val hostile = Seq(
+      TestUtil.integerGrid(30, 2),
+      TestUtil.cocircularRing(2000),
+      PointSet.fromRows((0 until 300).map(i => Array(i.toDouble, 3.0 * i - 7.0))),
+      new PointSet(TestUtil.randomPoints(300, 2, 4).coords.map(_ + 1e9), 2),
+      PointSet.fromRows(Seq.fill(50)(Array(3.5, -2.25))))
+    val tiny = Seq(1, 2, 3).map(n => TestUtil.randomPoints(n, 2, n.toLong))
+    for (ps <- Seq(1L, 2L, 3L).map(TestUtil.randomPoints(150, 2, _)) ++ hostile ++ tiny) {
       val got = EmstDelaunay.mst(ps, SeqScheme)
       assert(got.edges.size == ps.n - 1)
       TestUtil.assertSameWeight(got.edges, TestUtil.bruteEmst(ps))

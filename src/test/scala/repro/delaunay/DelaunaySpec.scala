@@ -18,27 +18,30 @@ class DelaunaySpec extends AnyFunSuite {
   }
 
   test("Delaunay empty-circumcircle property holds on random points") {
-    val ps = TestUtil.randomPoints(60, 2, 1)
-    val t = Delaunay.triangulate(ps)
-    // For each Delaunay edge there must exist an empty circle through its
-    // endpoints; verify via the dual statement on small inputs: every
-    // non-edge pair that is closer than some edge... too weak. Instead
-    // verify each edge belongs to some triangle pair with legal circles by
-    // checking the Gabriel subset: every Gabriel edge must be Delaunay.
-    def gabriel(i: Int, j: Int): Boolean = {
-      val cx = (ps(i, 0) + ps(j, 0)) / 2
-      val cy = (ps(i, 1) + ps(j, 1)) / 2
-      val r2 = ps.dist2(i, j) / 4
-      (0 until ps.n).forall { k =>
-        k == i || k == j || {
-          val dx = ps(k, 0) - cx; val dy = ps(k, 1) - cy
-          dx * dx + dy * dy >= r2 - 1e-9
+    // Checks a consequence of the property by brute force: an edge whose
+    // diametral disk holds no other point (a Gabriel edge) is an edge of
+    // every Delaunay triangulation. A point on or within 1e-9 of the disk's
+    // circle disqualifies the pair: on the grid both diagonals of a unit
+    // square have all four corners on that circle, and only one of them
+    // can be a Delaunay edge.
+    for (ps <- Seq(TestUtil.randomPoints(60, 2, 1), TestUtil.integerGrid(30, 2),
+                   TestUtil.cocircularRing(400))) {
+      val t = Delaunay.triangulate(ps)
+      def gabriel(i: Int, j: Int): Boolean = {
+        val cx = (ps(i, 0) + ps(j, 0)) / 2
+        val cy = (ps(i, 1) + ps(j, 1)) / 2
+        val r2 = ps.dist2(i, j) / 4
+        (0 until ps.n).forall { k =>
+          k == i || k == j || {
+            val dx = ps(k, 0) - cx; val dy = ps(k, 1) - cy
+            dx * dx + dy * dy > r2 + 1e-9
+          }
         }
       }
-    }
-    val edgeSet = t.edges.toSet
-    for (i <- 0 until ps.n; j <- i + 1 until ps.n if gabriel(i, j)) {
-      assert(edgeSet.contains((i, j)), s"Gabriel edge ($i,$j) missing from Delaunay")
+      val edgeSet = t.edges.toSet
+      for (i <- 0 until ps.n; j <- i + 1 until ps.n if gabriel(i, j)) {
+        assert(edgeSet.contains((i, j)), s"Gabriel edge ($i,$j) missing from Delaunay (n=${ps.n})")
+      }
     }
   }
 
