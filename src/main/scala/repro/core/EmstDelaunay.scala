@@ -10,9 +10,8 @@ import repro.par.ParScheme
   * the O(n) Delaunay edges. Edge weights are computed in parallel under
   * `par`; the triangulation itself is the sequential Bowyer–Watson
   * substrate, inserting in kd-tree order (DESIGN.md notes this
-  * substitution for the paper's parallel PBBS triangulator). With one
-  * thread it is 1.2x EMST-MemoGFK's time on 200K uniform 2D points
-  * (0.37 s against 0.31 s, 4-core host); the paper's Table 4 has 2.1x.
+  * substitution for the paper's parallel PBBS triangulator). EXPERIMENTS.md
+  * compares its time with EMST-MemoGFK's.
   */
 object EmstDelaunay {
 

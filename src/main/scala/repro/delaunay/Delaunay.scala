@@ -9,16 +9,13 @@ import repro.kdtree.KdTree
   * substrate for EMST-Delaunay (Appendix A.1).
   *
   * Points are inserted in kd-tree order (`KdTree.perm`), so consecutive
-  * insertions are spatial neighbours: the idea of BRIO (Amenta, Choi and
-  * Rote, SoCG 2003). Triangles carry per-edge adjacency, so each insertion
-  * is: (1) locate the containing triangle by walking from the previous
-  * insertion's newest triangle (orientation tests), (2) flood-fill the
-  * "bad" cavity across neighbors whose circumcircle contains the point,
-  * (3) re-triangulate the cavity boundary as a fan around the point,
-  * stitching adjacency locally. The walks stay short in this order: on a
-  * 4-core host, 1-thread EMST-Delaunay took 0.025 s on 20K and 0.37 s on
-  * 200K uniform 2D points (warm JVM), against 0.18 s and 17.9 s with the
-  * seeded shuffle it replaced, and 0.03 s and 0.31 s for EMST-MemoGFK.
+  * insertions are spatial neighbours and the point-location walks stay
+  * short: the idea of BRIO (Amenta, Choi and Rote, SoCG 2003). Triangles
+  * carry per-edge adjacency, so each insertion is: (1) locate the
+  * containing triangle by walking from the previous insertion's newest
+  * triangle (orientation tests), (2) flood-fill the "bad" cavity across
+  * neighbors whose circumcircle contains the point, (3) re-triangulate the
+  * cavity boundary as a fan around the point, stitching adjacency locally.
   * This is the practical stand-in for the paper's PBBS parallel
   * triangulator (DESIGN.md §3).
   *
@@ -147,6 +144,10 @@ object Delaunay {
     def insert(p: Int): Unit = {
       val t0 = locate(lastTri, xs(p), ys(p))
       // Flood-fill the cavity of triangles whose circumcircle contains p.
+      // A cavity side whose outer neighbor stays is a boundary edge (a, b):
+      // it gets the fan triangle (a, b, p), whose outer side keeps the old
+      // neighbor, retargeted to the new triangle.
+      val firstNew = nTri
       cavity.clear()
       cavity += t0; killedBy(t0) = p
       var ci = 0
@@ -155,26 +156,20 @@ object Delaunay {
         var j = 0
         while (j < 3) {
           val u = nbr(t, j)
-          if (u >= 0 && killedBy(u) != p && inCircle(u, p)) {
-            killedBy(u) = p; cavity += u
+          if (u < 0 || killedBy(u) != p) {
+            if (u >= 0 && inCircle(u, p)) {
+              killedBy(u) = p; cavity += u
+            } else {
+              val a = v(t, j)
+              val nt = newTri(a, v(t, (j + 1) % 3), p)
+              setNbr(nt, 0, u)
+              if (u >= 0) setNbr(u, edgeTo(u, t), nt)
+              fanFrom(a) = nt
+            }
           }
           j += 1
         }
         ci += 1
-      }
-      // For each boundary edge (a, b) of the cavity, create the fan
-      // triangle (a, b, p); its outer side keeps the old neighbor, which is
-      // retargeted to the new triangle.
-      val firstNew = nTri
-      for (t <- cavity; j <- 0 until 3) {
-        val u = nbr(t, j)
-        if (u < 0 || killedBy(u) != p) {
-          val a = v(t, j)
-          val nt = newTri(a, v(t, (j + 1) % 3), p)
-          setNbr(nt, 0, u)
-          if (u >= 0) setNbr(u, edgeTo(u, t), nt)
-          fanFrom(a) = nt
-        }
       }
       // The boundary is one CCW cycle around p, so each boundary vertex
       // starts exactly one fan triangle, and (a, b, p) meets the one that
@@ -182,6 +177,7 @@ object Delaunay {
       var nt = firstNew
       while (nt < nTri) {
         val next = fanFrom(v(nt, 1))
+        require(next >= firstNew, "cavity boundary is not one cycle")
         setNbr(nt, 1, next); setNbr(next, 2, nt)
         nt += 1
       }

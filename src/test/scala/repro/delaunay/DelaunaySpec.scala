@@ -20,12 +20,17 @@ class DelaunaySpec extends AnyFunSuite {
   test("Delaunay empty-circumcircle property holds on random points") {
     // Checks a consequence of the property by brute force: an edge whose
     // diametral disk holds no other point (a Gabriel edge) is an edge of
-    // every Delaunay triangulation. A point on or within 1e-9 of the disk's
-    // circle disqualifies the pair: on the grid both diagonals of a unit
-    // square have all four corners on that circle, and only one of them
-    // can be a Delaunay edge.
-    for (ps <- Seq(TestUtil.randomPoints(60, 2, 1), TestUtil.integerGrid(30, 2),
-                   TestUtil.cocircularRing(400))) {
+    // every Delaunay triangulation. On random points a point within 1e-9 of
+    // the disk's circle counts as outside it. The grid and the ring need the
+    // closed disk: both diagonals of a unit grid square, and every diameter
+    // of the ring, have other points on that circle, and no triangulation
+    // holds all of them.
+    val openDisk = (d2: Double, r2: Double) => d2 >= r2 - 1e-9
+    val closedDisk = (d2: Double, r2: Double) => d2 > r2 + 1e-9
+    for ((ps, outside) <- Seq(
+           (TestUtil.randomPoints(60, 2, 1), openDisk),
+           (TestUtil.integerGrid(30, 2), closedDisk),
+           (TestUtil.cocircularRing(400), closedDisk))) {
       val t = Delaunay.triangulate(ps)
       def gabriel(i: Int, j: Int): Boolean = {
         val cx = (ps(i, 0) + ps(j, 0)) / 2
@@ -34,7 +39,7 @@ class DelaunaySpec extends AnyFunSuite {
         (0 until ps.n).forall { k =>
           k == i || k == j || {
             val dx = ps(k, 0) - cx; val dy = ps(k, 1) - cy
-            dx * dx + dy * dy > r2 + 1e-9
+            outside(dx * dx + dy * dy, r2)
           }
         }
       }
