@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.stream.IntStream
-
 import repro.kdtree.KdTree
 import repro.par.ParScheme
 
@@ -11,9 +9,8 @@ import repro.par.ParScheme
   * in kd-tree order: the work items are ranges of positions in `tree.perm`,
   * so consecutive queries are spatial neighbors and walk the same nodes.
   * Each range writes its answers straight into the result, indexed by point
-  * id. Under a parallel scheme (`par.targetTasks > 1`) the ranges run on
-  * the JVM's common fork-join pool, reading the tree in place; `par` only
-  * sets their number. The result does not depend on query order.
+  * id. The ranges are one [[ParScheme.forRange]] under `par`, reading the
+  * tree in place. The result does not depend on query order.
   */
 object CoreDist {
 
@@ -22,8 +19,7 @@ object CoreDist {
     require(minPts >= 1 && minPts <= n, s"minPts=$minPts out of range for n=$n")
     val chunks = chunkRanges(n, par.targetTasks * 4)
     val cd = new Array[Double](n)
-    val items = IntStream.range(0, chunks.size)
-    (if (par.targetTasks > 1) items.parallel() else items).forEach { c =>
+    par.forRange(chunks.size) { c =>
       val (lo, hi) = chunks(c)
       val heap = new Array[Double](minPts) // per range: ranges run concurrently
       var i = lo

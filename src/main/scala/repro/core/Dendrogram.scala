@@ -1,11 +1,9 @@
 package repro.core
 
-import java.util.concurrent.{Callable, ForkJoinPool, ForkJoinTask, RecursiveAction}
-
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 import repro.mst.{Edge, UnionFind}
+import repro.par.ForkJoinScheme
 
 /** An ordered dendrogram over `n` points (§4.1).
   *
@@ -141,19 +139,16 @@ object Dendrogram {
     * component as one cluster of the shared union-find: a contraction
     * that copies no edge. Ranges of at most `cutoff` (≥ 1) edges run the
     * sequential kernel, and so does a light component holding most of its
-    * range's light edges (see [[Build]]). The edge sort runs on the pool
-    * while this thread computes the vertex distances. Equals
+    * range's light edges (see [[Build]]). The edge sort and the vertex
+    * distances run side by side with [[ForkJoinScheme.join2]]. Equals
     * [[buildSequential]] node for node.
     */
   def buildParallel(n: Int, edges: IndexedSeq[Edge], s: Int, cutoff: Int = 1024): Dendrogram = {
     require(cutoff >= 1, s"cutoff must be at least 1, got $cutoff")
     requireTreeInput(n, edges, s)
-    val sort: Callable[Array[Int]] = () => Edge.sortedIds(edges)
-    val sorting = ForkJoinTask.adapt(sort).fork()
-    // Joined even when the BFS throws, so no task outlives the call.
-    val vdist = try vertexDistances(n, edges, s) finally sorting.quietlyJoin()
-    val st = new State(n, edges, vdist, sorting.join())
-    ForkJoinPool.commonPool().invoke(new Build(st, 0, n - 1, cutoff))
+    val (vdist, order) = ForkJoinScheme.join2(vertexDistances(n, edges, s), Edge.sortedIds(edges))
+    val st = new State(n, edges, vdist, order)
+    new Build(st, 0, n - 1, cutoff).compute()
     st.result()
   }
 
@@ -252,11 +247,11 @@ object Dendrogram {
     * whole instead (its edges are contiguous and sorted, exactly what
     * [[buildSequential]] merges for them). Smaller components are packed,
     * in order, into tasks of at least `cutoff` edges, merged whole since a
-    * pack is not one sorted tree. All run concurrently before the heavy
-    * rest recurses.
+    * pack is not one sorted tree. All run concurrently, with
+    * [[ForkJoinScheme.forRange]], before the heavy rest recurses.
     */
-  private final class Build(st: State, lo: Int, hi: Int, cutoff: Int) extends RecursiveAction {
-    override def compute(): Unit =
+  private final class Build(st: State, lo: Int, hi: Int, cutoff: Int) {
+    def compute(): Unit =
       if (hi - lo <= cutoff) st.merge(lo, hi)
       else {
         val mid = hi - (hi - lo + HeavyShare - 1) / HeavyShare
@@ -277,7 +272,7 @@ object Dendrogram {
           start = end
         }
         pack(mid)
-        ForkJoinTask.invokeAll(tasks.asJava)
+        ForkJoinScheme.forRange(tasks.size)(i => tasks(i).compute())
         new Build(st, mid, hi, cutoff).compute()
       }
   }

@@ -78,7 +78,7 @@ object EmstGfk {
       // to preserve the non-decreasing batch order Kruskal relies on.
       val cut = rhoHi - Wspd.slack(rhoHi)
       val (sl1, sl2) = sl.partition(_.edge.w <= cut)
-      Kruskal.runBatch(EdgeBatch.of(sl1.map(_.edge)), uf, out, parallel = par.targetTasks > 1)
+      Kruskal.runBatch(EdgeBatch.of(sl1.map(_.edge)), uf, out, par)
       // Filter: discard pairs already connected in the union-find.
       val snap = uf.snapshot()
       val comp = Wspd.nodeComponents(tree, snap, par)

@@ -54,7 +54,7 @@ object MemoGfkEngine {
       pairsMaterialized += round.inWindow
       bccpComputed += round.bccps
       peak = math.max(peak, round.inWindow)
-      Kruskal.runBatch(round.edges, uf, out, parallel = par.targetTasks > 1)
+      Kruskal.runBatch(round.edges, uf, out, par)
       beta *= 2
       rhoLo = rhoHi
       // Safety net: with rhoHi = +inf every remaining pair was

@@ -1,7 +1,7 @@
 package repro.kdtree
 
 import repro.geometry.PointSet
-import repro.par.{Fork, ParScheme, SeqScheme}
+import repro.par.{ParScheme, SeqScheme}
 
 /** Array-based spatial-median kd-tree (§2.3, §3.1.1).
   *
@@ -21,8 +21,8 @@ import repro.par.{Fork, ParScheme, SeqScheme}
   * radius, so the separation and bound tests of the WSPD traversals read
   * them instead of looping over the box on every visit.
   *
-  * Under a parallel scheme three tree passes fork their two children on the
-  * JVM's common fork-join pool above [[KdTree.ForkGrain]] points: the build
+  * Three tree passes evaluate their two children with
+  * [[repro.par.ParScheme.join2]] above [[KdTree.ForkGrain]] points: the build
   * ([[KdTree.build]], leaf size 1 only) and the bottom-up node passes of
   * [[KdTree.bottomUp]] (the core-distance stats and the per-round
   * `Wspd.nodeComponents`). Each gives the same arrays as its inline run.
@@ -162,14 +162,14 @@ final class KdTree(
     * children: the order of the bottom-up node passes
     * ([[KdTree.coreDistStats]], `Wspd.nodeComponents`). A node of more than
     * [[KdTree.ForkGrain]] points visits its two subtrees with
-    * [[Fork.join2]] under `par`; a smaller subtree, a contiguous id range in
-    * the pre-order layout, is visited by one loop over its ids from the
-    * last down.
+    * [[repro.par.ParScheme.join2]] under `par`; a smaller subtree, a
+    * contiguous id range in the pre-order layout, is visited by one loop
+    * over its ids from the last down.
     */
   def bottomUp(par: ParScheme)(visit: Int => Unit): Unit = {
     def go(a: Int): Unit =
       if (!isLeaf(a) && size(a) > KdTree.ForkGrain) {
-        Fork.join2(par)(go(left(a)), go(right(a)))
+        par.join2(go(left(a)), go(right(a)))
         visit(a)
       } else {
         var last = a // the subtree's last pre-order id: down its right spine
@@ -201,11 +201,12 @@ object KdTree {
     * this is where they reject an empty point set.
     *
     * With `leafSize` 1, a node of more than [[ForkGrain]] points builds
-    * its two children with [[Fork.join2]] under `par`: a subtree of m points
-    * then has exactly 2m − 1 nodes, so the right child's id is known before
-    * the left subtree is built. Children partition disjoint slices of
-    * `perm` and write disjoint node ids, so every array equals the inline
-    * build's. A tree with larger leaves builds inline.
+    * its two children with [[repro.par.ParScheme.join2]] under `par`: a
+    * subtree of m points then has exactly 2m − 1 nodes, so the right
+    * child's id is known before the left subtree is built. Children
+    * partition disjoint slices of `perm` and write disjoint node ids, so
+    * every array equals the inline build's. A tree with larger leaves
+    * builds inline.
     */
   def build(ps: PointSet, leafSize: Int = 1, par: ParScheme = SeqScheme): KdTree = {
     require(ps.n >= 1, s"empty point set: ${ps.dim}-dimensional, no points")
@@ -288,7 +289,7 @@ object KdTree {
         if (leafSize == 1 && hi - lo > ForkGrain) {
           val r = a + 2 * (mid - lo)
           rightA(a) = r
-          Fork.join2(par)(buildRange(a + 1, lo, mid), buildRange(r, mid, hi))._2
+          par.join2(buildRange(a + 1, lo, mid), buildRange(r, mid, hi))._2
         } else {
           val r = buildRange(a + 1, lo, mid)
           rightA(a) = r

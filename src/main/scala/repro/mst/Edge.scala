@@ -1,5 +1,7 @@
 package repro.mst
 
+import repro.par.SeqScheme
+
 /** A weighted undirected edge between point ids `u` and `v`. */
 final case class Edge(u: Int, v: Int, w: Double)
 
@@ -16,5 +18,5 @@ object Edge {
     * ties in input order: [[EdgeBatch.sortedIds]] on a columnar copy.
     */
   def sortedIds(edges: IndexedSeq[Edge]): Array[Int] =
-    EdgeBatch.of(edges).sortedIds(parallel = false)
+    EdgeBatch.of(edges).sortedIds(SeqScheme)
 }

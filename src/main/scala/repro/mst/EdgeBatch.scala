@@ -1,8 +1,8 @@
 package repro.mst
 
 import java.util.Arrays
-import java.util.concurrent.ForkJoinPool
-import java.util.stream.IntStream
+
+import repro.par.ParScheme
 
 /** A batch of weighted edges as three primitive columns: edge `i` joins
   * `u(i)` and `v(i)` with weight `w(i)`. This is how MemoGFK's GetPairs
@@ -24,32 +24,32 @@ final class EdgeBatch(val u: Array[Int], val v: Array[Int], val w: Array[Double]
     *
     * One primitive sort does most of the work. Each id's key packs the
     * order-preserving bits of its weight above the id itself, in the
-    * `idBits` low bits, so sorting the `Long` keys (`Arrays.parallelSort`
-    * if `parallel`) orders the ids by the weight's high bits, then by id.
-    * Only a run of keys whose weight bits agree above the id field, most
-    * often a run of exactly tied weights, still needs the rest of the
-    * order, which [[RunSorter]] gives it in O(k log k) for a run of k.
+    * `idBits` low bits, so sorting the `Long` keys with `par.sort` orders
+    * the ids by the weight's high bits, then by id. Only a run of keys
+    * whose weight bits agree above the id field, most often a run of
+    * exactly tied weights, still needs the rest of the order, which
+    * [[RunSorter]] gives it in O(k log k) for a run of k. Runs are
+    * independent, so `par.targetTasks` slices of the order, cut at run
+    * starts, are fixed up with `par.forRange`.
     */
-  def sortedIds(parallel: Boolean): Array[Int] = {
+  def sortedIds(par: ParScheme): Array[Int] = {
     val m = size
     val idBits = 32 - Integer.numberOfLeadingZeros(math.max(m - 1, 1))
     val idMask = (1L << idBits) - 1
     val keys = new Array[Long](m)
     var i = 0
     while (i < m) { keys(i) = (EdgeBatch.orderedBits(w(i)) & ~idMask) | i; i += 1 }
-    if (parallel) Arrays.parallelSort(keys) else Arrays.sort(keys)
+    par.sort(keys)
     val ids = new Array[Int](m)
     i = 0
     while (i < m) { ids(i) = (keys(i) & idMask).toInt; i += 1 }
-    // Tied runs are independent, so under `parallel` slices of the order,
-    // cut at run starts, are fixed up on the fork-join pool.
-    val slices = if (parallel) 4 * ForkJoinPool.getCommonPoolParallelism else 1
+    val slices = par.targetTasks
     def runStart(i: Int): Int = {
       var a = i
       while (a > 0 && a < m && ((keys(a - 1) ^ keys(a)) & ~idMask) == 0) a += 1
       a
     }
-    IntStream.range(0, slices).parallel().forEach { s =>
+    par.forRange(slices) { s =>
       val runs = new RunSorter(idMask)
       val end = runStart(((s + 1).toLong * m / slices).toInt)
       var a = runStart((s.toLong * m / slices).toInt)

@@ -2,6 +2,8 @@ package repro.mst
 
 import scala.collection.mutable.ArrayBuffer
 
+import repro.par.{ParScheme, SeqScheme}
+
 /** Kruskal's MST algorithm, batched as the paper's GFK subroutine uses it
   * (Algorithm 2, line 8): each call processes one batch of edges whose
   * weights are no less than those of previous batches, against a union-find
@@ -10,16 +12,16 @@ import scala.collection.mutable.ArrayBuffer
 object Kruskal {
 
   /** Processes one batch. Sorts the batch's edge ids by `Edge.ordering`
-    * with [[EdgeBatch.sortedIds]] (`Arrays.parallelSort` underneath if
-    * `parallel`), then scans the columns in that order, joining components
-    * and appending tree edges to `out` as the batch orients them.
+    * with [[EdgeBatch.sortedIds]] under `par`, then scans the columns in
+    * that order on the calling thread, joining components and appending
+    * tree edges to `out` as the batch orients them.
     *
     * @throws IllegalArgumentException if the batch's lightest edge is
     *   lighter than the heaviest edge already in `out`: processing it
     *   would break Kruskal's order
     */
-  def runBatch(batch: EdgeBatch, uf: UnionFind, out: ArrayBuffer[Edge], parallel: Boolean): Unit = {
-    val ids = batch.sortedIds(parallel)
+  def runBatch(batch: EdgeBatch, uf: UnionFind, out: ArrayBuffer[Edge], par: ParScheme): Unit = {
+    val ids = batch.sortedIds(par)
     if (ids.nonEmpty && out.nonEmpty && batch.w(ids(0)) < out.last.w)
       throw new IllegalArgumentException(
         s"batch out of order: its lightest edge weighs ${batch.w(ids(0))}, " +
@@ -36,7 +38,7 @@ object Kruskal {
   def mst(n: Int, edges: IndexedSeq[Edge]): IndexedSeq[Edge] = {
     val uf = new UnionFind(n)
     val out = new ArrayBuffer[Edge](n - 1)
-    runBatch(EdgeBatch.of(edges), uf, out, parallel = false)
+    runBatch(EdgeBatch.of(edges), uf, out, SeqScheme)
     out.toIndexedSeq
   }
 }

@@ -20,11 +20,11 @@ final class CountingScheme(inner: ParScheme) extends ParScheme {
 
   override def name: String = s"counting[${inner.name}]"
 
-  override def mapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => B): IndexedSeq[B] =
-    inner.mapItems(items)(f)
+  override def forRange(n: Int)(body: Int => Unit): Unit = inner.forRange(n)(body)
 
-  override def flatMapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => Seq[B]): IndexedSeq[B] =
-    inner.flatMapItems(items)(f)
+  override def join2[A, B](a: => A, b: => B): (A, B) = inner.join2(a, b)
+
+  override def sort(keys: Array[Long]): Unit = inner.sort(keys)
 
   override def share[T: ClassTag](v: T): Shared[T] = {
     made += v.getClass

@@ -3,6 +3,15 @@ package repro.mst
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
+import repro.par.{ForkJoinScheme, ParScheme, SeqScheme}
+import repro.wspd.WideSeqScheme
+
+/** The schemes the batch sort is checked under: one thread, the pool, and
+  * one thread cut into as many tie-run slices as a 16-task pool run.
+  */
+private object MstSpec {
+  val schemes: Seq[ParScheme] = Seq(SeqScheme, ForkJoinScheme, WideSeqScheme(16))
+}
 
 class UnionFindSpec extends AnyFunSuite {
 
@@ -108,7 +117,8 @@ class EdgeSpec extends AnyFunSuite {
       // Equal edges are indistinguishable above, so check the ids keep input order too.
       val want = es.indices.sortBy(es)(Edge.ordering)
       assert(ids.toSeq == want, name)
-      assert(EdgeBatch.of(es).sortedIds(parallel = true).toSeq == want, s"$name, parallel")
+      for (par <- MstSpec.schemes)
+        assert(EdgeBatch.of(es).sortedIds(par).toSeq == want, s"$name, ${par.name}")
     }
   }
 }
@@ -137,7 +147,7 @@ class KruskalSpec extends AnyFunSuite {
     val oneShot = Kruskal.mst(ps.n, all)
     val uf = new UnionFind(ps.n)
     val out = scala.collection.mutable.ArrayBuffer.empty[Edge]
-    all.grouped(100).foreach(b => Kruskal.runBatch(EdgeBatch.of(b), uf, out, parallel = false))
+    all.grouped(100).foreach(b => Kruskal.runBatch(EdgeBatch.of(b), uf, out, SeqScheme))
     assert(out.size == ps.n - 1)
     assert(TestUtil.canonicalEdges(out) == TestUtil.canonicalEdges(oneShot))
   }
@@ -152,11 +162,11 @@ class KruskalSpec extends AnyFunSuite {
     for ((name, es) <- batches) {
       val ref = new UnionFind(n)
       val want = es.sorted(Edge.ordering).filter(e => ref.union(e.u, e.v))
-      for (parallel <- Seq(false, true)) {
+      for (par <- MstSpec.schemes) {
         val out = scala.collection.mutable.ArrayBuffer.empty[Edge]
-        Kruskal.runBatch(EdgeBatch.of(es), new UnionFind(n), out, parallel)
+        Kruskal.runBatch(EdgeBatch.of(es), new UnionFind(n), out, par)
         // Edge equality also compares orientation, and the sequences the order.
-        assert(out.toSeq == want, s"$name, parallel = $parallel")
+        assert(out.toSeq == want, s"$name, ${par.name}")
       }
     }
   }
@@ -164,11 +174,11 @@ class KruskalSpec extends AnyFunSuite {
   test("runBatch rejects a batch lighter than the heaviest accepted edge") {
     val uf = new UnionFind(4)
     val out = scala.collection.mutable.ArrayBuffer.empty[Edge]
-    Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(0, 1, 2.0))), uf, out, parallel = false)
+    Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(0, 1, 2.0))), uf, out, SeqScheme)
     // A tie with the heaviest accepted edge is still in order.
-    Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(1, 2, 2.0))), uf, out, parallel = false)
+    Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(1, 2, 2.0))), uf, out, SeqScheme)
     val ex = intercept[IllegalArgumentException] {
-      Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(2, 3, 3.0), Edge(0, 3, 1.5))), uf, out, parallel = false)
+      Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(2, 3, 3.0), Edge(0, 3, 1.5))), uf, out, SeqScheme)
     }
     assert(ex.getMessage.contains("1.5") && ex.getMessage.contains("2.0"), ex.getMessage)
     assert(out.size == 2, "a rejected batch must accept nothing")

@@ -1,13 +1,19 @@
 package repro.par
 
+import java.nio.file.{Files, Paths}
+import java.util.concurrent.{CountDownLatch, ForkJoinTask, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
+
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 
 import repro.{SparkSpec, TestUtil}
 import repro.core.{EmstMemoGfk, Hdbscan, MemoGfk}
+import repro.wspd.WideSeqScheme
 
-/** The fan-out contract of [[ForkJoinScheme]], and that the parallel
+/** The contract of the three primitives and the fan-outs built on them,
+  * that only `repro.par` decides how work runs, and that the parallel
   * scheme runs without Spark.
   */
 class ParSchemeSpec extends SparkSpec {
@@ -85,16 +91,16 @@ class ParSchemeSpec extends SparkSpec {
     } finally sc.removeSparkListener(listener)
   }
 
-  test("Fork.join2 runs both thunks on the caller under SeqScheme, and forks under ForkJoinScheme") {
+  test("join2 runs on the caller under SeqScheme, forks under the pool") {
     val caller = Thread.currentThread
     var ran = Seq.empty[Thread]
-    val seq = Fork.join2(SeqScheme)({ ran :+= Thread.currentThread; 1 }, { ran :+= Thread.currentThread; "b" })
+    val seq = SeqScheme.join2({ ran :+= Thread.currentThread; 1 }, { ran :+= Thread.currentThread; "b" })
     assert(seq == ((1, "b")) && ran == Seq(caller, caller))
     // `a` waits until `b` has started, so `b` must run on a pool thread.
-    val started = new java.util.concurrent.CountDownLatch(1)
+    val started = new CountDownLatch(1)
     @volatile var bThread: Thread = null
-    val (aSawB, b) = Fork.join2(ForkJoinScheme)(
-      started.await(30, java.util.concurrent.TimeUnit.SECONDS),
+    val (aSawB, b) = ForkJoinScheme.join2(
+      started.await(30, TimeUnit.SECONDS),
       { bThread = Thread.currentThread; started.countDown(); 2 })
     assert(aSawB && b == 2)
     assert(bThread != null && bThread != caller)
@@ -103,9 +109,59 @@ class ParSchemeSpec extends SparkSpec {
       if (hi - lo <= 64) (lo until hi).map(_.toLong).sum
       else {
         val mid = (lo + hi) >>> 1
-        val (l, r) = Fork.join2(ForkJoinScheme)(sum(lo, mid), sum(mid, hi))
+        val (l, r) = ForkJoinScheme.join2(sum(lo, mid), sum(mid, hi))
         l + r
       }
     assert(sum(0, 100000) == 100000L * 99999 / 2)
+  }
+
+  test("join2 lets no forked thunk outlive a throwing first thunk") {
+    // `a` throws only once `b` runs on a pool thread, so `b` cannot be
+    // unforked and join2 has to wait for it.
+    val started = new CountDownLatch(1)
+    @volatile var done = false
+    val e = intercept[IllegalStateException] {
+      ForkJoinScheme.join2(
+        { started.await(30, TimeUnit.SECONDS); throw new IllegalStateException("a failed") },
+        { started.countDown(); Thread.sleep(300); done = true })
+    }
+    assert(e.getMessage == "a failed")
+    assert(done, "join2 returned while its forked thunk was still running")
+  }
+
+  test("seq schemes run every body on the caller; fork-join reaches the pool") {
+    val caller = Thread.currentThread
+    for (par <- Seq(SeqScheme, WideSeqScheme(16))) {
+      val ran = new Array[Thread](1000)
+      par.forRange(ran.length)(i => ran(i) = Thread.currentThread)
+      assert(ran.forall(_ eq caller), par.name)
+      val (a, b) = par.join2(Thread.currentThread, Thread.currentThread)
+      assert((a eq caller) && (b eq caller), par.name)
+    }
+    // Each body waits until some body has run on a pool thread, so the
+    // loop returns in time only if one does.
+    val onPool = new CountDownLatch(1)
+    ForkJoinScheme.forRange(64) { _ =>
+      if (ForkJoinTask.inForkJoinPool()) onPool.countDown()
+      onPool.await(30, TimeUnit.SECONDS)
+    }
+    assert(onPool.getCount == 0, "no forRange body ran on a pool thread")
+  }
+
+  test("only repro.par names the JDK's parallel APIs") {
+    val banned = "IntStream|ForkJoinTask|ForkJoinPool|RecursiveAction|parallelSort".r
+    val root = Paths.get("src/main/scala")
+    assert(Files.isDirectory(root), s"no $root under ${Paths.get("").toAbsolutePath}")
+    val walk = Files.walk(root)
+    val hits =
+      try walk.iterator.asScala
+        .filter(p => p.toString.endsWith(".scala") && !p.startsWith(root.resolve("repro/par")))
+        .flatMap { p =>
+          Files.readAllLines(p).asScala.zipWithIndex.collect {
+            case (line, i) if banned.findFirstIn(line).isDefined => s"$p:${i + 1}: ${line.trim}"
+          }
+        }.toList
+      finally walk.close()
+    if (hits.nonEmpty) fail(hits.mkString("\n"))
   }
 }

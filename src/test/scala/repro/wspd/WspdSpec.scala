@@ -1,7 +1,5 @@
 package repro.wspd
 
-import scala.reflect.ClassTag
-
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
@@ -9,21 +7,21 @@ import repro.kdtree.KdTree
 import repro.mst.UnionFind
 import repro.par.{ForkJoinScheme, ParScheme, SeqScheme}
 
-/** Runs every fan-out sequentially but asks for `width` tasks, so the WSPD
-  * frontier is cut as wide as under a parallel scheme, on one thread. Code
-  * that runs on the fork-join pool when `targetTasks > 1` (the core-distance
-  * k-NN, the Kruskal batch sort) runs there under a width above 1.
+/** The one-thread run at the same width: asks for `width` tasks, so the
+  * WSPD frontier and the batch sort's tie-run slices are cut as under a
+  * parallel scheme of that width, but runs every loop, fork and sort on
+  * the calling thread, as [[SeqScheme]] does.
   */
 final case class WideSeqScheme(width: Int) extends ParScheme {
   override def name: String = s"seq-wide[$width]"
 
-  override def mapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => B): IndexedSeq[B] =
-    SeqScheme.mapItems(items)(f)
-
-  override def flatMapItems[A: ClassTag, B: ClassTag](items: IndexedSeq[A])(f: A => Seq[B]): IndexedSeq[B] =
-    SeqScheme.flatMapItems(items)(f)
-
   override def targetTasks: Int = width
+
+  override def forRange(n: Int)(body: Int => Unit): Unit = SeqScheme.forRange(n)(body)
+
+  override def join2[A, B](a: => A, b: => B): (A, B) = SeqScheme.join2(a, b)
+
+  override def sort(keys: Array[Long]): Unit = SeqScheme.sort(keys)
 }
 
 class WspdSpec extends AnyFunSuite {
