@@ -113,14 +113,13 @@ object Harness {
       (mName, variant) <- methods
     } yield {
       Console.err.println(s"[hdbscan] $name / $mName")
-      def full(p: ParScheme, parallelDendro: Boolean): MstResult = {
+      def full(p: ParScheme): MstResult = {
         val r = Hdbscan.mst(ps, minPts, variant, p)
-        if (parallelDendro) Dendrogram.buildParallel(ps.n, r.mst.edges, s = 0)
-        else Dendrogram.buildSequential(ps.n, r.mst.edges, s = 0)
+        Dendrogram.build(ps.n, r.mst.edges, 0, p)
         r.mst
       }
-      val seqCell = runGuarded(full(SeqScheme, parallelDendro = false))
-      val parCell = runGuarded(full(par, parallelDendro = true))
+      val seqCell = runGuarded(full(SeqScheme))
+      val parCell = runGuarded(full(par))
       Row(name, mName, seqCell, parCell)
     }
   }

@@ -2,15 +2,15 @@ package repro.core
 
 import scala.collection.mutable
 
-import repro.mst.{Edge, UnionFind}
-import repro.par.ForkJoinScheme
+import repro.mst.{Edge, EdgeBatch, UnionFind}
+import repro.par.{ParScheme, SeqScheme}
 
 /** An ordered dendrogram over `n` points (§4.1).
   *
   * Nodes `0 until n` are the point leaves; node `n + i` is the internal
   * node corresponding to MST edge `i` (every internal node of a dendrogram
   * corresponds to exactly one tree edge, so edge index doubles as node id —
-  * this also lets the parallel builder fill disjoint slots without
+  * this also lets concurrent §4 tasks fill disjoint slots without
   * synchronization). `root` is the final merge, or leaf 0 when n = 1. The
   * in-order traversal of the leaves equals Prim's visit order from the
   * chosen start vertex, which is what makes it *ordered*.
@@ -70,7 +70,7 @@ object Dendrogram {
   /** Unweighted distance from every vertex to `s` along the tree (§4.2's
     * vertex distances), by BFS.
     */
-  def vertexDistances(n: Int, edges: IndexedSeq[Edge], s: Int): Array[Int] = {
+  def vertexDistances(n: Int, edges: EdgeBatch, s: Int): Array[Int] = {
     requireStart(n, s)
     // CSR adjacency: v's neighbours are nbr(off(v) until off(v + 1)). Count
     // degrees, prefix-sum them into block ends, then fill each block back to
@@ -78,15 +78,15 @@ object Dendrogram {
     val off = new Array[Int](n + 1)
     val m = edges.size
     var i = 0
-    while (i < m) { val e = edges(i); off(e.u) += 1; off(e.v) += 1; i += 1 }
+    while (i < m) { off(edges.u(i)) += 1; off(edges.v(i)) += 1; i += 1 }
     var v = 1
     while (v <= n) { off(v) += off(v - 1); v += 1 }
     val nbr = new Array[Int](off(n))
     i = 0
     while (i < m) {
-      val e = edges(i)
-      off(e.u) -= 1; nbr(off(e.u)) = e.v
-      off(e.v) -= 1; nbr(off(e.v)) = e.u
+      val a = edges.u(i); val b = edges.v(i)
+      off(a) -= 1; nbr(off(a)) = b
+      off(b) -= 1; nbr(off(b)) = a
       i += 1
     }
     val dist = Array.fill(n)(-1)
@@ -112,48 +112,37 @@ object Dendrogram {
   private def requireStart(n: Int, s: Int): Unit =
     require(s >= 0 && s < n, s"start vertex $s is outside [0, $n)")
 
-  /** The checks both builders make before any work: the edge count of a
-    * tree, then the start vertex. Connectivity is checked by the BFS.
+  /** The ordered dendrogram of the tree `edges` on `n` vertices from start
+    * vertex `s`, by §4.2's top-down divide-and-conquer on `par`. Under every
+    * scheme it equals, node for node, merging the edges bottom-up in
+    * `Edge.ordering` order, the endpoint with the smaller vertex distance
+    * going left. The edges are copied once into columns; `par.join2` runs
+    * the BFS beside [[EdgeBatch.sortedIds]]. A range of at most
+    * ⌈(n − 1) / `par.targetTasks`⌉ edges (the width rule of the WSPD
+    * frontier and the k-NN) merges whole, so under [[SeqScheme]] the whole
+    * tree merges in one kernel call; a longer range splits ([[Build]]).
     */
-  private def requireTreeInput(n: Int, edges: IndexedSeq[Edge], s: Int): Unit = {
+  def build(n: Int, edges: IndexedSeq[Edge], s: Int, par: ParScheme): Dendrogram = {
     require(edges.size == n - 1, s"a tree on $n vertices has ${n - 1} edges, got ${edges.size}")
     requireStart(n, s)
-  }
-
-  /** Sequential ordered-dendrogram construction: merges clusters bottom-up
-    * in increasing edge weight (union-find), with the §4.2 ordering rule:
-    * the subtree of the endpoint with the smaller vertex distance goes left.
-    * The reference that the parallel builder must equal.
-    */
-  def buildSequential(n: Int, edges: IndexedSeq[Edge], s: Int): Dendrogram = {
-    requireTreeInput(n, edges, s)
-    val st = new State(n, edges, vertexDistances(n, edges, s), Edge.sortedIds(edges))
-    st.merge(0, n - 1)
+    val cols = EdgeBatch.of(edges)
+    val (vdist, order) = par.join2(vertexDistances(n, cols, s), cols.sortedIds(par))
+    val st = new State(n, cols, vdist, order)
+    val grain = (n - 2) / par.targetTasks + 1 // ⌈(n − 1) / targetTasks⌉, and 1 at n = 1
+    new Build(st, par, 0, n - 1, grain).compute()
     st.result()
   }
 
-  /** Parallel top-down construction (§4.2) over index ranges of the one
-    * sorted edge order: split off the heaviest tenth of a range, build its
-    * light connected components in parallel (fork-join, like the paper's
-    * Cilk code), then recurse on the heavy rest, which sees each light
-    * component as one cluster of the shared union-find: a contraction
-    * that copies no edge. Ranges of at most `cutoff` (≥ 1) edges run the
-    * sequential kernel, and so does a light component holding most of its
-    * range's light edges (see [[Build]]). The edge sort and the vertex
-    * distances run side by side with [[ForkJoinScheme.join2]]. Equals
-    * [[buildSequential]] node for node.
-    */
-  def buildParallel(n: Int, edges: IndexedSeq[Edge], s: Int, cutoff: Int = 1024): Dendrogram = {
-    require(cutoff >= 1, s"cutoff must be at least 1, got $cutoff")
-    requireTreeInput(n, edges, s)
-    val (vdist, order) = ForkJoinScheme.join2(vertexDistances(n, edges, s), Edge.sortedIds(edges))
-    val st = new State(n, edges, vdist, order)
-    new Build(st, 0, n - 1, cutoff).compute()
-    st.result()
-  }
+  /** [[build]] on one thread; kept only because emstbench calls it (ROADMAP item 2). */
+  def buildSequential(n: Int, edges: IndexedSeq[Edge], s: Int): Dendrogram =
+    build(n, edges, s, SeqScheme)
 
-  /** State of both builders: the vertex distances `vdist`; `order`, the
-    * edge ids sorted by `Edge.ordering` (with [[Edge.sortedIds]]); a
+  /** [[build]] on the fork-join pool; kept only because emstbench calls it (ROADMAP item 2). */
+  def buildParallel(n: Int, edges: IndexedSeq[Edge], s: Int): Dendrogram =
+    build(n, edges, s, repro.par.ForkJoinScheme)
+
+  /** State of [[build]]: the edge columns `edges`; the vertex distances
+    * `vdist`; `order`, the edge ids in `Edge.ordering` order; a
     * path-halving union-find `parent` over vertex ids, whose cluster root
     * `r` stands for dendrogram node `node(r)`; and, for [[regroup]], a
     * second union-find `comp` and the scratch arrays `ids` and `label`,
@@ -161,7 +150,7 @@ object Dendrogram {
     * hence disjoint union-find paths and disjoint ranges of `order`: no
     * locks needed.
     */
-  private final class State(n: Int, edges: IndexedSeq[Edge], vdist: Array[Int], order: Array[Int]) {
+  private final class State(n: Int, edges: EdgeBatch, vdist: Array[Int], order: Array[Int]) {
     private val parent = Array.range(0, n)
     private val node = Array.range(0, n)
     private val comp = new Array[Int](n)
@@ -169,7 +158,6 @@ object Dendrogram {
     private val label = new Array[Int](n - 1)
     private val left = new Array[Int](n - 1)
     private val right = new Array[Int](n - 1)
-    private val weight = new Array[Double](n - 1)
 
     private def find(uf: Array[Int], x: Int): Int = {
       var r = x
@@ -179,18 +167,20 @@ object Dendrogram {
     private def cluster(v: Int): Int = find(parent, v)
 
     /** The kernel: merges what `order(lo until hi)` joins, in order; edge `i` is node `n + i`. */
-    def merge(lo: Int, hi: Int): Unit =
-      for (k <- lo until hi) {
+    def merge(lo: Int, hi: Int): Unit = {
+      var k = lo
+      while (k < hi) {
         val i = order(k)
-        val e = edges(i)
-        val ru = cluster(e.u)
-        val rv = cluster(e.v)
-        if (vdist(e.u) <= vdist(e.v)) { left(i) = node(ru); right(i) = node(rv) }
-        else { left(i) = node(rv); right(i) = node(ru) }
-        weight(i) = e.w
-        parent(ru) = rv
-        node(rv) = n + i
+        val a = edges.u(i); val b = edges.v(i)
+        val ra = cluster(a)
+        val rb = cluster(b)
+        if (vdist(a) <= vdist(b)) { left(i) = node(ra); right(i) = node(rb) }
+        else { left(i) = node(rb); right(i) = node(ra) }
+        parent(ra) = rb
+        node(rb) = n + i
+        k += 1
       }
+    }
 
     /** Stable-regroups `order(lo until hi)` so each connected component of
       * its edges over the current clusters is contiguous; returns each
@@ -204,19 +194,17 @@ object Dendrogram {
       System.arraycopy(order, lo, ids, lo, hi - lo)
       var k = lo
       while (k < hi) {
-        val e = edges(ids(k))
-        val ru = cluster(e.u); comp(ru) = ru
-        val rv = cluster(e.v); comp(rv) = rv
+        val ru = cluster(edges.u(ids(k))); comp(ru) = ru
+        val rv = cluster(edges.v(ids(k))); comp(rv) = rv
         k += 1
       }
       k = lo
       while (k < hi) {
-        val e = edges(ids(k))
-        comp(find(comp, cluster(e.u))) = find(comp, cluster(e.v))
+        comp(find(comp, cluster(edges.u(ids(k))))) = find(comp, cluster(edges.v(ids(k))))
         k += 1
       }
       k = lo
-      while (k < hi) { label(k) = find(comp, cluster(edges(ids(k)).u)); k += 1 }
+      while (k < hi) { label(k) = find(comp, cluster(edges.u(ids(k)))); k += 1 }
       var count = 0
       k = lo
       while (k < hi) {
@@ -236,44 +224,48 @@ object Dendrogram {
       ends
     }
 
-    def result(): Dendrogram = new Dendrogram(n, left, right, weight, node(cluster(0)))
+    /** Node `n + i` has edge `i`'s weight, so the weights are the `w` column. */
+    def result(): Dendrogram = new Dendrogram(n, left, right, edges.w, node(cluster(0)))
   }
 
   /** One §4.2 subproblem: `order(lo until hi)`, a weight-sorted tree over
-    * the current clusters. A light component of more than `cutoff` edges
+    * the current clusters. It splits off its heaviest tenth and regroups
+    * the light rest into connected components, built with `par.forRange`
+    * before the heavy rest recurses and sees each as one cluster of the
+    * shared union-find: a contraction that copies no edge. A light component of more than `grain` edges
     * recurses, unless it holds more than half of the range's light edges:
     * its own light part would be giant again, so recursing would only
     * regroup it once more per level without splitting it, and it is merged
-    * whole instead (its edges are contiguous and sorted, exactly what
-    * [[buildSequential]] merges for them). Smaller components are packed,
-    * in order, into tasks of at least `cutoff` edges, merged whole since a
-    * pack is not one sorted tree. All run concurrently, with
-    * [[ForkJoinScheme.forRange]], before the heavy rest recurses.
+    * whole instead (its edges are contiguous and sorted, exactly what the
+    * bottom-up merge takes for them). Smaller components are packed, in
+    * order, into tasks of at least `grain` edges, merged whole since a pack
+    * is not one sorted tree. All run with `par.forRange` before the heavy
+    * rest recurses.
     */
-  private final class Build(st: State, lo: Int, hi: Int, cutoff: Int) {
+  private final class Build(st: State, par: ParScheme, lo: Int, hi: Int, grain: Int) {
     def compute(): Unit =
-      if (hi - lo <= cutoff) st.merge(lo, hi)
+      if (hi - lo <= grain) st.merge(lo, hi)
       else {
         val mid = hi - (hi - lo + HeavyShare - 1) / HeavyShare
         val tasks = mutable.ArrayBuffer.empty[Build]
         var packed = lo // start of the pack being filled
         def pack(until: Int): Unit = {
-          if (packed < until) tasks += new Build(st, packed, until, Int.MaxValue)
+          if (packed < until) tasks += new Build(st, par, packed, until, Int.MaxValue)
           packed = until
         }
         var start = lo
         for (end <- st.regroup(lo, mid)) {
-          if (end - start > cutoff) {
+          if (end - start > grain) {
             pack(start)
             val majority = end - start > (mid - lo) / 2
-            tasks += new Build(st, start, end, if (majority) Int.MaxValue else cutoff)
+            tasks += new Build(st, par, start, end, if (majority) Int.MaxValue else grain)
             packed = end
-          } else if (end - packed >= cutoff) pack(end)
+          } else if (end - packed >= grain) pack(end)
           start = end
         }
         pack(mid)
-        ForkJoinScheme.forRange(tasks.size)(i => tasks(i).compute())
-        new Build(st, mid, hi, cutoff).compute()
+        par.forRange(tasks.size)(i => tasks(i).compute())
+        new Build(st, par, mid, hi, grain).compute()
       }
   }
 

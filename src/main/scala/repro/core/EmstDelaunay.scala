@@ -20,7 +20,8 @@ object EmstDelaunay {
     val t = Delaunay.triangulate(ps)
     val weighted = par.mapItems(t.edges) { case (u, v) => Edge(u, v, ps.dist(u, v)) }
     // Exact duplicates re-attach at distance zero.
-    val dupEdges = t.duplicateOf.toIndexedSeq.map { case (i, rep) => Edge(i, rep, 0.0) }
+    val rep = t.representative
+    val dupEdges = (0 until ps.n).collect { case i if rep(i) != i => Edge(i, rep(i), 0.0) }
     val mst = Kruskal.mst(ps.n, weighted ++ dupEdges)
     MstResult(mst, MstStats(t.edges.size, t.edges.size, 0, rounds = 1))
   }

@@ -25,10 +25,11 @@ import repro.kdtree.KdTree
   */
 object Delaunay {
 
-  /** Result: Delaunay edges among distinct points, plus for each dropped
-    * duplicate its surviving representative.
+  /** Result: Delaunay edges among distinct points, plus each point's
+    * `representative`: the point itself, or for a dropped exact duplicate
+    * the copy that was inserted (the first in kd-tree order).
     */
-  final case class Triangulation(edges: IndexedSeq[(Int, Int)], duplicateOf: Map[Int, Int])
+  final case class Triangulation(edges: IndexedSeq[(Int, Int)], representative: Array[Int])
 
   def triangulate(ps: PointSet): Triangulation = {
     require(ps.dim == 2, s"Delaunay requires 2D points, got dim=${ps.dim}")
@@ -186,12 +187,18 @@ object Delaunay {
 
     // kd-tree order does not always put exact duplicates next to each other
     // (a midpoint that rounds onto a box face falls back to a split by
-    // count), so they are found by their coordinates.
-    val seen = mutable.HashMap.empty[(Double, Double), Int]
-    val duplicateOf = mutable.HashMap.empty[Int, Int]
-    order.foreach { p =>
-      val rep = seen.getOrElseUpdate((xs(p), ys(p)), p)
-      if (rep == p) insert(p) else duplicateOf(p) = rep
+    // count), so they are found by their coordinates in an open-addressing
+    // table of point ids, under half full. `+ 0.0` hashes -0.0 as 0.0.
+    val bits = 33 - Integer.numberOfLeadingZeros(n)
+    val slots = Array.fill(1 << bits)(-1)
+    val representative = Array.range(0, n)
+    for (p <- order) {
+      val key = java.lang.Double.doubleToLongBits(xs(p) + 0.0) * 0x9E3779B97F4A7C15L +
+        java.lang.Double.doubleToLongBits(ys(p) + 0.0)
+      var at = (key * 0xC2B2AE3D27D4EB4FL >>> (64 - bits)).toInt
+      while (slots(at) >= 0 && (xs(slots(at)) != xs(p) || ys(slots(at)) != ys(p)))
+        at = (at + 1) & (slots.length - 1)
+      if (slots(at) < 0) { slots(at) = p; insert(p) } else representative(p) = slots(at)
     }
 
     // Each edge between input points borders two live triangles that list
@@ -209,6 +216,6 @@ object Delaunay {
       }
       t += 1
     }
-    Triangulation(edges.toIndexedSeq, duplicateOf.toMap)
+    Triangulation(edges.toIndexedSeq, representative)
   }
 }

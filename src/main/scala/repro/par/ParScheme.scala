@@ -78,7 +78,7 @@ trait ParScheme {
     mapItems(items)(f).flatten
 
   /** The identity wrapper. No algorithm calls it; it stays only because
-    * emstbench's `TracedScheme` overrides it (ROADMAP items 2 and 3 delete
+    * emstbench's `TracedScheme` overrides it (ROADMAP items 2 and 4 delete
     * it with [[Shared]]).
     */
   def share[T: ClassTag](v: T): Shared[T] = new Shared[T] {
@@ -110,6 +110,6 @@ object ForkJoinScheme extends ForkJoinScheme
 
 /** [[ForkJoinScheme]] under its old name: it ignores `sc` and starts no
   * Spark job. Kept only because emstbench's `Workloads.parallelScheme`
-  * constructs it (ROADMAP items 2 and 3).
+  * constructs it (ROADMAP items 2 and 4).
   */
 final class SparkScheme(sc: SparkContext) extends ForkJoinScheme

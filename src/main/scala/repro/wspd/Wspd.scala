@@ -163,8 +163,12 @@ object Wspd {
     * past the edge: MemoGFK prunes only when lb/ub clear the window by the
     * slack, and GFK's batch boundary sits the slack below ρ_hi. Exact edge
     * weights are still compared without slack, so the slack costs a little
-    * pruning (or defers a few edges to the next GFK round) but can never
-    * change the result.
+    * pruning (or defers a few edges to the next GFK round). It keeps the
+    * result exact only while the bounds' rounding error, which grows with
+    * the coordinates' magnitude and not with ρ, stays below it: at
+    * coordinate offsets of 1e13–1e15 with unit spread a kd-tree sphere can
+    * miss its box by more than the slack, and MemoGFK returns a heavier
+    * tree (ROADMAP item 1).
     */
   @inline def slack(x: Double): Double =
     if (x.isInfinity) 0.0 else 1e-9 * (1.0 + math.abs(x))

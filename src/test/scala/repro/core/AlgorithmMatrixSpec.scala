@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.geometry.{Generators, PointSet}
 import repro.par.SeqScheme
+import repro.wspd.WideSeqScheme
 
 /** Fine-grained correctness matrix: one registered test per
   * (algorithm, data shape, dimension, seed) cell, so a regression pinpoints
@@ -56,23 +57,22 @@ class AlgorithmMatrixSpec extends AnyFunSuite {
     val ps = gen(80, 2, 3000L + seed)
     val mst = TestUtil.bruteEmst(ps)
     // Tie-heavy inputs (duplicates) exercise the deterministic tie-breaking.
-    val d = Dendrogram.buildSequential(ps.n, mst, s = 0)
+    val d = Dendrogram.build(ps.n, mst, 0, SeqScheme)
     val (order, bars) = d.reachabilityPlot()
     val (wantOrder, wantBars) = Prim0.treeOrder(ps.n, mst, 0)
     assert(order.sameElements(wantOrder))
     bars.zip(wantBars).foreach { case (a, b) => assert(a == b || math.abs(a - b) < 1e-12) }
   }
 
+  // `cutoff` is the split grain: at width ⌈(n − 1) / cutoff⌉, ranges of at
+  // most `cutoff` edges merge whole.
   for {
     (sName, gen) <- shapes
     cutoff <- Seq(8, 64)
   } test(s"parallel dendrogram / $sName / cutoff=$cutoff equals sequential") {
     val ps = gen(120, 2, 4000L + cutoff)
-    val mst = TestUtil.bruteEmst(ps)
-    val seq = Dendrogram.buildSequential(ps.n, mst, s = 0)
-    val par = Dendrogram.buildParallel(ps.n, mst, s = 0, cutoff = cutoff)
-    assert(par.root == seq.root)
-    assert(par.left.sameElements(seq.left) && par.right.sameElements(seq.right))
+    DendrogramSpec.assertEveryScheme(ps.n, TestUtil.bruteEmst(ps), 0, sName,
+      DendrogramSpec.schemes :+ WideSeqScheme((ps.n - 2) / cutoff + 1))
   }
 
   // Alias to keep the import section tidy inside the loops above.

@@ -4,10 +4,37 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
 import repro.geometry.{Generators, PointSet}
-import repro.mst.{Edge, Prim}
-import repro.par.SeqScheme
+import repro.mst.{Edge, EdgeBatch, Prim}
+import repro.par.{ForkJoinScheme, ParScheme, SeqScheme}
+import repro.wspd.WideSeqScheme
+
+private[core] object DendrogramSpec extends org.scalatest.Assertions {
+
+  /** The one-thread run, the one-thread run at widths 2 to 100000 (grains
+    * down to one edge), and the pool.
+    */
+  val schemes: Seq[ParScheme] = SeqScheme +: Seq(2, 7, 64, 100000).map(WideSeqScheme) :+ ForkJoinScheme
+
+  private def assertSameNodes(par: Dendrogram, seq: Dendrogram, what: String): Unit = {
+    assert(par.root == seq.root, s"$what: roots differ")
+    assert(par.left.sameElements(seq.left), s"$what: left arrays differ")
+    assert(par.right.sameElements(seq.right), s"$what: right arrays differ")
+    assert(par.weight.sameElements(seq.weight), s"$what: weights differ")
+  }
+
+  /** Asserts that the dendrogram under each of `under` equals the one under
+    * [[SeqScheme]] node for node, and returns the latter.
+    */
+  def assertEveryScheme(n: Int, edges: IndexedSeq[Edge], s: Int, what: String,
+                        under: Seq[ParScheme] = schemes): Dendrogram = {
+    val seq = Dendrogram.build(n, edges, s, SeqScheme)
+    for (par <- under) assertSameNodes(Dendrogram.build(n, edges, s, par), seq, s"$what, ${par.name}")
+    seq
+  }
+}
 
 class DendrogramSpec extends AnyFunSuite {
+  import DendrogramSpec.assertEveryScheme
 
   private def checkStructure(d: Dendrogram, edges: IndexedSeq[Edge]): Unit = {
     val n = d.n
@@ -41,14 +68,14 @@ class DendrogramSpec extends AnyFunSuite {
   test("sequential dendrogram: structural invariants on EMST input") {
     val ps = TestUtil.randomPoints(120, 2, 1)
     val mst = TestUtil.bruteEmst(ps)
-    checkStructure(Dendrogram.buildSequential(ps.n, mst, s = 0), mst)
+    checkStructure(Dendrogram.build(ps.n, mst, 0, SeqScheme), mst)
   }
 
   test("sequential dendrogram in-order equals Prim's traversal (ordered property)") {
     for (seed <- Seq(2L, 3L, 4L); s <- Seq(0, 5)) {
       val ps = TestUtil.randomPoints(100, 2, seed)
       val mst = TestUtil.bruteEmst(ps)
-      val d = Dendrogram.buildSequential(ps.n, mst, s)
+      val d = Dendrogram.build(ps.n, mst, s, SeqScheme)
       val (order, bars) = d.reachabilityPlot()
       val (wantOrder, wantBars) = Prim.treeOrder(ps.n, mst, s)
       assert(order.sameElements(wantOrder), s"seed=$seed s=$s visit order differs")
@@ -62,20 +89,13 @@ class DendrogramSpec extends AnyFunSuite {
   test("ordered dendrogram on the HDBSCAN* MST matches Prim (reachability plot)") {
     val ps = Generators.ssVarden(150, 2, 5)
     val mst = TestUtil.bruteMutualReachMst(ps, 10)
-    val d = Dendrogram.buildSequential(ps.n, mst, s = 0)
+    val d = Dendrogram.build(ps.n, mst, 0, SeqScheme)
     val (order, bars) = d.reachabilityPlot()
     val (wantOrder, wantBars) = Prim.treeOrder(ps.n, mst, 0)
     assert(order.sameElements(wantOrder))
     bars.zip(wantBars).foreach { case (a, b) =>
       assert(a == b || math.abs(a - b) < 1e-12)
     }
-  }
-
-  private def assertSameNodes(par: Dendrogram, seq: Dendrogram, what: String): Unit = {
-    assert(par.root == seq.root, s"$what: roots differ")
-    assert(par.left.sameElements(seq.left), s"$what: left arrays differ")
-    assert(par.right.sameElements(seq.right), s"$what: right arrays differ")
-    assert(par.weight.sameElements(seq.weight), s"$what: weights differ")
   }
 
   /** Four uniformFill blocks of `m` points, 1000 apart: the three joining
@@ -106,34 +126,26 @@ class DendrogramSpec extends AnyFunSuite {
         IndexedSeq.tabulate(1999)(i => Edge(rnd.nextInt(i + 1), i + 1, 1.0)), 3),
       ("path of increasing weights", 500, IndexedSeq.tabulate(499)(i => Edge(i, i + 1, (i + 1).toDouble)), 0),
     )
-    for ((name, n, edges, s) <- inputs) {
-      val seq = Dendrogram.buildSequential(n, edges, s)
-      for (cutoff <- Seq(1, 4, 16, 64, 1024))
-        assertSameNodes(Dendrogram.buildParallel(n, edges, s, cutoff), seq, s"$name, cutoff=$cutoff")
-    }
+    for ((name, n, edges, s) <- inputs) assertEveryScheme(n, edges, s, name)
     val n = 50000
     val path = IndexedSeq.tabulate(n - 1)(i => Edge(i, i + 1, (i + 1).toDouble))
-    assertSameNodes(Dendrogram.buildParallel(n, path, s = 0), Dendrogram.buildSequential(n, path, s = 0),
-      "path of increasing weights, n=50000, default cutoff")
+    assertEveryScheme(n, path, 0, "path of increasing weights, n=50000")
   }
 
   test("parallel dendrogram equals sequential on HDBSCAN* MSTs and varden data") {
     val ps = Generators.ssVarden(300, 3, 8)
     val mst = TestUtil.bruteMutualReachMst(ps, 10)
-    val seq = Dendrogram.buildSequential(ps.n, mst, s = 3)
-    assertSameNodes(Dendrogram.buildParallel(ps.n, mst, s = 3, cutoff = 16), seq, "varden")
+    assertEveryScheme(ps.n, mst, 3, "varden")
   }
 
-  test("parallel dendrogram with default cutoff on larger input") {
+  test("parallel dendrogram at every width on larger input") {
     val ps = Generators.uniformFill(3000, 2, 9)
-    val mst = EmstMemoGfk.mst(ps, SeqScheme).edges
-    val seq = Dendrogram.buildSequential(ps.n, mst, s = 0)
-    assertSameNodes(Dendrogram.buildParallel(ps.n, mst, s = 0), seq, "default cutoff")
+    assertEveryScheme(ps.n, EmstMemoGfk.mst(ps, SeqScheme).edges, 0, "uniformFill 3000")
   }
 
   test("dendrogram at n=2") {
     val edges = IndexedSeq(Edge(0, 1, 3.0))
-    val d = Dendrogram.buildSequential(2, edges, s = 0)
+    val d = assertEveryScheme(2, edges, 0, "n=2")
     assert(d.root == 2)
     val (order, bars) = d.reachabilityPlot()
     assert(order.sameElements(Array(0, 1)))
@@ -141,8 +153,8 @@ class DendrogramSpec extends AnyFunSuite {
   }
 
   test("dendrogram at n=1 is the single leaf, from both builders") {
-    for (d <- Seq(Dendrogram.buildSequential(1, IndexedSeq.empty, s = 0),
-                  Dendrogram.buildParallel(1, IndexedSeq.empty, s = 0))) {
+    for (par <- DendrogramSpec.schemes) {
+      val d = Dendrogram.build(1, IndexedSeq.empty, 0, par)
       assert(d.root == 0 && d.left.isEmpty && d.right.isEmpty && d.weight.isEmpty)
       val (order, bars) = d.reachabilityPlot()
       assert(order.sameElements(Array(0)))
@@ -152,7 +164,7 @@ class DendrogramSpec extends AnyFunSuite {
 
   private val path3 = IndexedSeq(Edge(0, 1, 1.0), Edge(1, 2, 2.0))
   private val builders: Seq[(Int, IndexedSeq[Edge], Int) => Dendrogram] =
-    Seq(Dendrogram.buildSequential, Dendrogram.buildParallel(_, _, _))
+    Seq(Dendrogram.buildSequential, Dendrogram.buildParallel)
 
   test("both builders reject a start vertex outside [0, n), naming it") {
     for (build <- builders) {
@@ -170,17 +182,10 @@ class DendrogramSpec extends AnyFunSuite {
     }
   }
 
-  test("parallel builder rejects a cutoff below 1, naming it") {
-    val e = intercept[IllegalArgumentException](Dendrogram.buildParallel(3, path3, 0, cutoff = 0))
-    assert(e.getMessage.contains("cutoff must be at least 1, got 0"))
-  }
-
   test("dendrogram handles a path graph with increasing weights (worst case)") {
     val n = 500
     val edges = IndexedSeq.tabulate(n - 1)(i => Edge(i, i + 1, (i + 1).toDouble))
-    val seq = Dendrogram.buildSequential(n, edges, s = 0)
-    assertSameNodes(Dendrogram.buildParallel(n, edges, s = 0, cutoff = 8), seq, "path")
-    val (order, _) = seq.reachabilityPlot()
+    val (order, _) = assertEveryScheme(n, edges, 0, "path").reachabilityPlot()
     assert(order.sameElements(Array.tabulate(n)(identity)), "path must be visited in line order")
   }
 
@@ -235,22 +240,22 @@ class DendrogramSpec extends AnyFunSuite {
     //          |
     //          3
     val edges = IndexedSeq(Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(1, 3, 1.0))
-    val vd = Dendrogram.vertexDistances(4, edges, s = 0)
+    val vd = Dendrogram.vertexDistances(4, EdgeBatch.of(edges), s = 0)
     assert(vd.toSeq == Seq(0, 1, 2, 2))
-    val vd1 = Dendrogram.vertexDistances(4, edges, s = 1)
+    val vd1 = Dendrogram.vertexDistances(4, EdgeBatch.of(edges), s = 1)
     assert(vd1.toSeq == Seq(1, 0, 1, 1))
   }
 
   test("vertexDistances rejects disconnected input") {
     intercept[IllegalArgumentException] {
-      Dendrogram.vertexDistances(4, IndexedSeq(Edge(0, 1, 1.0)), 0)
+      Dendrogram.vertexDistances(4, EdgeBatch.of(IndexedSeq(Edge(0, 1, 1.0))), 0)
     }
   }
 
   test("reachability plot bars are a permutation of the MST weights plus one infinity") {
     val ps = TestUtil.randomPoints(90, 3, 14)
     val mst = TestUtil.bruteEmst(ps)
-    val d = Dendrogram.buildSequential(ps.n, mst, s = 0)
+    val d = Dendrogram.build(ps.n, mst, 0, SeqScheme)
     val (_, bars) = d.reachabilityPlot()
     assert(bars.count(_.isPosInfinity) == 1)
     assert(bars.filterNot(_.isPosInfinity).sorted.toSeq == mst.map(_.w).sorted.toSeq)
@@ -271,7 +276,7 @@ class DendrogramSpec extends AnyFunSuite {
       "e,f,g,h form one cluster")
     assert(labels(3) != labels(4), "the two clusters are distinct")
     // The ordered dendrogram over these edges reproduces Prim's order.
-    val d = Dendrogram.buildSequential(9, edges, s = 0)
+    val d = Dendrogram.build(9, edges, 0, SeqScheme)
     val (order, _) = d.reachabilityPlot()
     val (wantOrder, _) = Prim.treeOrder(9, edges, 0)
     assert(order.sameElements(wantOrder))

@@ -101,15 +101,15 @@ class SparkParitySpec extends AnyFunSuite {
     val mstSeq = EmstMemoGfk.mst(ps, SeqScheme).edges
     val mstPar = EmstMemoGfk.mst(ps, par).edges
     TestUtil.assertSameWeight(mstSeq, mstPar)
-    val dSeq = Dendrogram.buildSequential(ps.n, mstSeq, s = 0)
-    // Build the parallel dendrogram on the fork-join MST: same point set
-    // and same edges (weights here are unique with probability 1), so the
-    // plots must be equal bar for bar.
-    val dPar = Dendrogram.buildParallel(ps.n, mstPar, s = 0, cutoff = 64)
-    val (o1, b1) = dSeq.reachabilityPlot()
-    val (o2, b2) = dPar.reachabilityPlot()
-    assert(o1.sameElements(o2))
-    assert(b1.sameElements(b2))
+    val (o1, b1) = Dendrogram.build(ps.n, mstSeq, 0, SeqScheme).reachabilityPlot()
+    // Build the dendrogram of the fork-join MST at every width: same point
+    // set and same edges (weights here are unique with probability 1), so
+    // the plots must be equal bar for bar.
+    for (p <- DendrogramSpec.schemes) {
+      val (o2, b2) = Dendrogram.build(ps.n, mstPar, 0, p).reachabilityPlot()
+      assert(o1.sameElements(o2), p.name)
+      assert(b1.sameElements(b2), p.name)
+    }
   }
 
   /** The same frontier width as [[ForkJoinScheme]], run on one thread. */

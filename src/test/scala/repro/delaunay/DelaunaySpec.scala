@@ -60,11 +60,23 @@ class DelaunaySpec extends AnyFunSuite {
   test("duplicates are reported and excluded from the triangulation") {
     val ps = TestUtil.pointsWithDuplicates(50, 2, 3)
     val t = Delaunay.triangulate(ps)
-    assert(t.duplicateOf.nonEmpty)
-    t.duplicateOf.foreach { case (dup, rep) =>
-      assert(ps.dist(dup, rep) == 0.0)
+    val dups = (0 until ps.n).filter(i => t.representative(i) != i)
+    assert(dups.nonEmpty)
+    for (dup <- dups) {
+      val rep = t.representative(dup)
+      assert(ps.dist(dup, rep) == 0.0 && t.representative(rep) == rep)
       assert(!t.edges.exists { case (u, v) => u == dup || v == dup })
     }
+  }
+
+  test("a point at -0.0 is an exact duplicate of its copy at 0.0") {
+    val ps = PointSet.fromRows(Seq(
+      Array(0.0, 0.0), Array(1.0, 0.0), Array(-0.0, -0.0), Array(0.0, 1.0), Array(0.0, -0.0)))
+    val t = Delaunay.triangulate(ps)
+    val rep = t.representative
+    assert(rep(0) == rep(2) && rep(0) == rep(4), rep.toSeq)
+    assert(Seq(0, 2, 4).count(i => rep(i) == i) == 1, rep.toSeq)
+    assert(t.edges.toSet.size == 3, t.edges)
   }
 
   test("triangulation rejects non-2D input") {
