@@ -17,7 +17,7 @@ object JobRunner {
     */
   def session(name: String): (SparkSession, Boolean) = {
     val preexisting = SparkSession.getDefaultSession.isDefined
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -1,10 +1,8 @@
 package repro.baseline
 
-import scala.collection.mutable.ArrayBuffer
-
 import repro.geometry.PointSet
 import repro.kdtree.KdTree
-import repro.mst.{Edge, UnionFind}
+import repro.mst.{EdgeBatch, UnionFind}
 import repro.wspd.Wspd
 
 /** Sequential dual-tree Borůvka EMST — our from-scratch stand-in for the
@@ -18,11 +16,11 @@ import repro.wspd.Wspd
   */
 object DualTreeBoruvka {
 
-  def mst(ps: PointSet): IndexedSeq[Edge] = {
+  def mst(ps: PointSet): EdgeBatch = {
     val n = ps.n
     val tree = KdTree.build(ps, leafSize = 8)
     val uf = new UnionFind(n)
-    val out = new ArrayBuffer[Edge](n - 1)
+    val out = new EdgeBatch.Builder(n - 1)
 
     // Per-component candidate edge, indexed by component root.
     val candW = new Array[Double](n)
@@ -100,7 +98,7 @@ object DualTreeBoruvka {
       var c = 0
       while (c < n) {
         if (candW(c) < Double.PositiveInfinity && uf.union(candU(c), candV(c))) {
-          out += Edge(candU(c), candV(c), candW(c))
+          out.add(candU(c), candV(c), candW(c))
           made = true
         }
         c += 1
@@ -108,6 +106,6 @@ object DualTreeBoruvka {
       if (!made)
         throw new IllegalStateException("dual-tree Boruvka made no progress")
     }
-    out.toIndexedSeq
+    out.result()
   }
 }

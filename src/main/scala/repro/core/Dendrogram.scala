@@ -116,11 +116,11 @@ object Dendrogram {
     * vertex `s`, by §4.2's top-down divide-and-conquer on `par`. Under every
     * scheme it equals, node for node, merging the edges bottom-up in
     * `Edge.ordering` order, the endpoint with the smaller vertex distance
-    * going left. The edges are copied once into columns; `par.join2` runs
-    * the BFS beside [[EdgeBatch.sortedIds]]. A range of at most
-    * ⌈(n − 1) / `par.targetTasks`⌉ edges (the width rule of the WSPD
-    * frontier and the k-NN) merges whole, so under [[SeqScheme]] the whole
-    * tree merges in one kernel call; a longer range splits ([[Build]]).
+    * going left. An [[EdgeBatch]] is read in place, its `w` column becoming the `weight`
+    * array; other edge lists are copied by [[EdgeBatch.of]]. `par.join2` runs the BFS beside
+    * [[EdgeBatch.sortedIds]]. A range of at most ⌈(n − 1) / `par.targetTasks`⌉ edges (the
+    * width rule of the WSPD frontier and the k-NN) merges whole, so under [[SeqScheme]] the
+    * whole tree merges in one kernel call; a longer range splits ([[Build]]).
     */
   def build(n: Int, edges: IndexedSeq[Edge], s: Int, par: ParScheme): Dendrogram = {
     require(edges.size == n - 1, s"a tree on $n vertices has ${n - 1} edges, got ${edges.size}")

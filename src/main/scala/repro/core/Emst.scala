@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 import repro.geometry.PointSet
 import repro.kdtree.KdTree
 import repro.mst.{Edge, EdgeBatch, Kruskal, UnionFind}
@@ -23,7 +21,7 @@ object EmstNaive {
     if (pairs.size > pairBudget)
       throw new PairBudgetExceeded(pairs.size, pairBudget)
     val edges = par.mapItems(pairs) { case (a, b) => EuclidMetric.bccp(ctx, a, b) }
-    val mst = Kruskal.mst(ps.n, edges)
+    val mst = Kruskal.mst(ps.n, edges, par)
     MstResult(mst, MstStats(pairs.size, pairs.size, pairs.size, rounds = 1))
   }
 }
@@ -51,7 +49,7 @@ object EmstGfk {
       throw new PairBudgetExceeded(wspd.size, pairBudget)
     var s: IndexedSeq[PairState] = wspd.map { case (a, b) => new PairState(a, b, null) }
     val uf = new UnionFind(ps.n)
-    val out = new ArrayBuffer[Edge](ps.n - 1)
+    val out = new EdgeBatch.Builder(ps.n - 1)
     var beta = 2L
     var rounds = 0
     var bccpCount = 0L
@@ -91,7 +89,7 @@ object EmstGfk {
         throw new IllegalStateException(
           s"GFK exhausted pairs with ${out.size} of ${ps.n - 1} edges")
     }
-    MstResult(out.toIndexedSeq, MstStats(wspd.size, wspd.size, bccpCount, rounds))
+    MstResult(out.result(), MstStats(wspd.size, wspd.size, bccpCount, rounds))
   }
 }
 

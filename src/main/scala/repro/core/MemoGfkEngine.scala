@@ -1,8 +1,6 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
-import repro.mst.{Edge, Kruskal, UnionFind}
+import repro.mst.{EdgeBatch, Kruskal, UnionFind}
 import repro.par.ParScheme
 import repro.wspd.{Ctx, Metric, Sep, Wspd}
 
@@ -26,7 +24,7 @@ final case class MstStats(
     rounds: Int,
 )
 
-final case class MstResult(edges: IndexedSeq[Edge], stats: MstStats)
+final case class MstResult(edges: EdgeBatch, stats: MstStats)
 
 /** The MemoGFK round loop (Algorithm 3), generic over the separation
   * criterion and the pair metric so it serves EMST (EuclidMetric +
@@ -38,7 +36,7 @@ object MemoGfkEngine {
   def mst(ctx: Ctx, sep: Sep, metric: Metric, par: ParScheme): MstResult = {
     val n = ctx.tree.points.n
     val uf = new UnionFind(n)
-    val out = new ArrayBuffer[Edge](n - 1)
+    val out = new EdgeBatch.Builder(n - 1)
     var beta = 2L
     var rhoLo = 0.0
     var rounds = 0
@@ -63,6 +61,6 @@ object MemoGfkEngine {
         throw new IllegalStateException(
           s"MemoGFK failed to span: ${out.size} of ${n - 1} edges")
     }
-    MstResult(out.toIndexedSeq, MstStats(pairsMaterialized, peak, bccpComputed, rounds))
+    MstResult(out.result(), MstStats(pairsMaterialized, peak, bccpComputed, rounds))
   }
 }

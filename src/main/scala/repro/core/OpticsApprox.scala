@@ -25,7 +25,7 @@ object OpticsApprox {
     val ctx = Ctx.mutualReach(tree, cd, par)
     val pairs = Wspd.allPairs(ctx, GeometricSep(s), par)
     val edges = par.flatMapItems(pairs) { case (a, b) => pairEdges(ctx, a, b, minPts, rho) }
-    val mst = Kruskal.mst(ps.n, edges)
+    val mst = Kruskal.mst(ps.n, edges, par)
     HdbscanResult(
       MstResult(mst, MstStats(pairs.size, pairs.size, bccpComputed = 0, rounds = 1)),
       cd)

@@ -4,6 +4,7 @@ import scala.collection.mutable
 
 import repro.geometry.PointSet
 import repro.kdtree.KdTree
+import repro.mst.EdgeBatch
 
 /** 2D Delaunay triangulation by incremental Bowyer–Watson insertion — the
   * substrate for EMST-Delaunay (Appendix A.1).
@@ -25,11 +26,11 @@ import repro.kdtree.KdTree
   */
 object Delaunay {
 
-  /** Result: Delaunay edges among distinct points, plus each point's
-    * `representative`: the point itself, or for a dropped exact duplicate
-    * the copy that was inserted (the first in kd-tree order).
+  /** Result: Delaunay edges among distinct points, `u < v`, weighed by their length, plus
+    * each point's `representative`: the point itself, or for a dropped exact duplicate the
+    * copy that was inserted (the first in kd-tree order).
     */
-  final case class Triangulation(edges: IndexedSeq[(Int, Int)], representative: Array[Int])
+  final case class Triangulation(edges: EdgeBatch, representative: Array[Int])
 
   def triangulate(ps: PointSet): Triangulation = {
     require(ps.dim == 2, s"Delaunay requires 2D points, got dim=${ps.dim}")
@@ -203,19 +204,19 @@ object Delaunay {
 
     // Each edge between input points borders two live triangles that list
     // it in opposite directions, so it is emitted once, where a < b.
-    val edges = mutable.ArrayBuffer.empty[(Int, Int)]
+    val edges = new EdgeBatch.Builder(3 * n)
     var t = 0
     while (t < nTri) {
       if (killedBy(t) < 0) {
         var j = 0
         while (j < 3) {
           val a = v(t, j); val b = v(t, (j + 1) % 3)
-          if (a < b && b < n) edges += ((a, b))
+          if (a < b && b < n) edges.add(a, b, ps.dist(a, b))
           j += 1
         }
       }
       t += 1
     }
-    Triangulation(edges.toIndexedSeq, representative)
+    Triangulation(edges.result(), representative)
   }
 }

@@ -2,23 +2,23 @@ package repro.mst
 
 import java.util.Arrays
 
+import scala.collection.immutable
+
 import repro.par.ParScheme
 
-/** A batch of weighted edges as three primitive columns: edge `i` joins
-  * `u(i)` and `v(i)` with weight `w(i)`. This is how MemoGFK's GetPairs
-  * tasks hand their in-window BCCP edges to [[Kruskal.runBatch]], which
-  * builds an `Edge` only for an edge it accepts.
+/** The one edge-list format, from GetPairs through Kruskal to the dendrogram: edge `i` joins
+  * `u(i)` and `v(i)` with weight `w(i)`, and the columns are never written after construction.
+  * As an `IndexedSeq[Edge]` it is a read view that builds an `Edge` per `apply`.
   */
-final class EdgeBatch(val u: Array[Int], val v: Array[Int], val w: Array[Double]) {
+final class EdgeBatch(val u: Array[Int], val v: Array[Int], val w: Array[Double])
+    extends immutable.IndexedSeq[Edge] {
   require(v.length == u.length && w.length == u.length, "edge columns differ in length")
 
-  def size: Int = u.length
+  def length: Int = u.length
 
-  def edge(i: Int): Edge = Edge(u(i), v(i), w(i))
+  def apply(i: Int): Edge = Edge(u(i), v(i), w(i))
 
-  def toEdges: IndexedSeq[Edge] = IndexedSeq.tabulate(size)(edge)
-
-  /** Edge ids in the order of the stable `toEdges.sorted(Edge.ordering)`:
+  /** Edge ids in the order of the stable `sorted(Edge.ordering)`:
     * by weight (as `java.lang.Double.compare`), then the smaller and the
     * larger endpoint, full ties in id order.
     *
@@ -33,7 +33,7 @@ final class EdgeBatch(val u: Array[Int], val v: Array[Int], val w: Array[Double]
     * starts, are fixed up with `par.forRange`.
     */
   def sortedIds(par: ParScheme): Array[Int] = {
-    val m = size
+    val m = length
     val idBits = 32 - Integer.numberOfLeadingZeros(math.max(m - 1, 1))
     val idMask = (1L << idBits) - 1
     val keys = new Array[Long](m)
@@ -104,24 +104,27 @@ final class EdgeBatch(val u: Array[Int], val v: Array[Int], val w: Array[Double]
 
 object EdgeBatch {
 
-  def of(edges: IndexedSeq[Edge]): EdgeBatch = {
-    val b = new Builder(edges.size)
-    edges.foreach(e => b.add(e.u, e.v, e.w))
-    b.result()
+  /** `edges` itself if it is a batch, else its edges copied into columns. */
+  def of(edges: IndexedSeq[Edge]): EdgeBatch = edges match {
+    case b: EdgeBatch => b
+    case _ =>
+      val b = new Builder(edges.length)
+      edges.foreach(e => b.add(e.u, e.v, e.w))
+      b.result()
   }
 
   /** The batches' edges one after another, in one batch. */
   def concat(parts: Seq[EdgeBatch]): EdgeBatch =
     if (parts.size == 1) parts.head
     else {
-      val m = parts.iterator.map(_.size).sum
+      val m = parts.iterator.map(_.length).sum
       val (u, v, w) = (new Array[Int](m), new Array[Int](m), new Array[Double](m))
       var at = 0
       for (p <- parts) {
-        System.arraycopy(p.u, 0, u, at, p.size)
-        System.arraycopy(p.v, 0, v, at, p.size)
-        System.arraycopy(p.w, 0, w, at, p.size)
-        at += p.size
+        System.arraycopy(p.u, 0, u, at, p.length)
+        System.arraycopy(p.v, 0, v, at, p.length)
+        System.arraycopy(p.w, 0, w, at, p.length)
+        at += p.length
       }
       new EdgeBatch(u, v, w)
     }
@@ -140,20 +143,24 @@ object EdgeBatch {
     private var u = new Array[Int](math.max(capacity, 1))
     private var v = new Array[Int](u.length)
     private var w = new Array[Double](u.length)
-    private var size = 0
+    private var count = 0
+
+    /** The number of edges added so far, and the weight of the last one (when `size > 0`). */
+    def size: Int = count
+    def lastWeight: Double = w(count - 1)
 
     def add(a: Int, b: Int, weight: Double): Unit = {
-      if (size == u.length) {
-        val cap = 2 * size
+      if (count == u.length) {
+        val cap = 2 * count
         u = Arrays.copyOf(u, cap); v = Arrays.copyOf(v, cap); w = Arrays.copyOf(w, cap)
       }
-      u(size) = a; v(size) = b; w(size) = weight
-      size += 1
+      u(count) = a; v(count) = b; w(count) = weight
+      count += 1
     }
 
     /** The edges added so far, in columns trimmed to their count. */
     def result(): EdgeBatch =
-      if (size == u.length) new EdgeBatch(u, v, w)
-      else new EdgeBatch(Arrays.copyOf(u, size), Arrays.copyOf(v, size), Arrays.copyOf(w, size))
+      if (count == u.length) new EdgeBatch(u, v, w)
+      else new EdgeBatch(Arrays.copyOf(u, count), Arrays.copyOf(v, count), Arrays.copyOf(w, count))
   }
 }

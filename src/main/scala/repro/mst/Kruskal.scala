@@ -1,8 +1,6 @@
 package repro.mst
 
-import scala.collection.mutable.ArrayBuffer
-
-import repro.par.{ParScheme, SeqScheme}
+import repro.par.ParScheme
 
 /** Kruskal's MST algorithm, batched as the paper's GFK subroutine uses it
   * (Algorithm 2, line 8): each call processes one batch of edges whose
@@ -20,25 +18,24 @@ object Kruskal {
     *   lighter than the heaviest edge already in `out`: processing it
     *   would break Kruskal's order
     */
-  def runBatch(batch: EdgeBatch, uf: UnionFind, out: ArrayBuffer[Edge], par: ParScheme): Unit = {
+  def runBatch(batch: EdgeBatch, uf: UnionFind, out: EdgeBatch.Builder, par: ParScheme): Unit = {
     val ids = batch.sortedIds(par)
-    if (ids.nonEmpty && out.nonEmpty && batch.w(ids(0)) < out.last.w)
+    if (ids.nonEmpty && out.size > 0 && batch.w(ids(0)) < out.lastWeight)
       throw new IllegalArgumentException(
         s"batch out of order: its lightest edge weighs ${batch.w(ids(0))}, " +
-        s"below the ${out.last.w} of the heaviest accepted edge")
+        s"below the ${out.lastWeight} of the heaviest accepted edge")
     var i = 0
     while (i < ids.length) {
       val id = ids(i)
-      if (uf.union(batch.u(id), batch.v(id))) out += batch.edge(id)
+      if (uf.union(batch.u(id), batch.v(id))) out.add(batch.u(id), batch.v(id), batch.w(id))
       i += 1
     }
   }
 
-  /** Plain one-shot Kruskal over `n` vertices; returns the spanning forest. */
-  def mst(n: Int, edges: IndexedSeq[Edge]): IndexedSeq[Edge] = {
-    val uf = new UnionFind(n)
-    val out = new ArrayBuffer[Edge](n - 1)
-    runBatch(EdgeBatch.of(edges), uf, out, SeqScheme)
-    out.toIndexedSeq
+  /** Plain one-shot Kruskal over `n` vertices, sorting under `par`; returns the spanning forest. */
+  def mst(n: Int, edges: IndexedSeq[Edge], par: ParScheme): EdgeBatch = {
+    val out = new EdgeBatch.Builder(n - 1)
+    runBatch(EdgeBatch.of(edges), new UnionFind(n), out, par)
+    out.result()
   }
 }

@@ -14,12 +14,12 @@ import scala.collection.mutable
 object Prim {
 
   /** MST of the complete graph on `n` vertices under `w`. O(n²) time. */
-  def denseMst(n: Int, w: (Int, Int) => Double): IndexedSeq[Edge] = {
+  def denseMst(n: Int, w: (Int, Int) => Double): EdgeBatch = {
     require(n >= 1)
     val inTree = new Array[Boolean](n)
     val best = Array.fill(n)(Double.PositiveInfinity)
     val bestFrom = new Array[Int](n)
-    val out = new mutable.ArrayBuffer[Edge](n - 1)
+    val out = new EdgeBatch.Builder(n - 1)
     inTree(0) = true
     var i = 1
     while (i < n) { best(i) = w(0, i); bestFrom(i) = 0; i += 1 }
@@ -34,7 +34,7 @@ object Prim {
       }
       require(v >= 0, "disconnected input to Prim (infinite weight)")
       inTree(v) = true
-      out += Edge(bestFrom(v), v, bw)
+      out.add(bestFrom(v), v, bw)
       added += 1
       j = 0
       while (j < n) {
@@ -45,7 +45,7 @@ object Prim {
         j += 1
       }
     }
-    out.toIndexedSeq
+    out.result()
   }
 
   /** Prim's traversal of a spanning tree from `s`.
@@ -87,6 +87,7 @@ object Prim {
     count = 1
     push(s)
     while (count < n) {
+      require(pq.nonEmpty, "input edges do not form a connected tree")
       val (w, _, to) = pq.dequeue()
       if (!visited(to)) {
         visited(to) = true

@@ -15,7 +15,7 @@ private[core] object DendrogramSpec extends org.scalatest.Assertions {
     */
   val schemes: Seq[ParScheme] = SeqScheme +: Seq(2, 7, 64, 100000).map(WideSeqScheme) :+ ForkJoinScheme
 
-  private def assertSameNodes(par: Dendrogram, seq: Dendrogram, what: String): Unit = {
+  def assertSameNodes(par: Dendrogram, seq: Dendrogram, what: String): Unit = {
     assert(par.root == seq.root, s"$what: roots differ")
     assert(par.left.sameElements(seq.left), s"$what: left arrays differ")
     assert(par.right.sameElements(seq.right), s"$what: right arrays differ")
@@ -34,7 +34,7 @@ private[core] object DendrogramSpec extends org.scalatest.Assertions {
 }
 
 class DendrogramSpec extends AnyFunSuite {
-  import DendrogramSpec.assertEveryScheme
+  import DendrogramSpec.{assertEveryScheme, assertSameNodes}
 
   private def checkStructure(d: Dendrogram, edges: IndexedSeq[Edge]): Unit = {
     val n = d.n
@@ -111,14 +111,16 @@ class DendrogramSpec extends AnyFunSuite {
 
   test("parallel dendrogram equals sequential node-for-node") {
     val rnd = new scala.util.Random(8)
+    val hdbscan = Hdbscan.mst(Generators.uniformFill(20000, 2, 3), 10, MemoGfk, SeqScheme).mst.edges
     // (name, n, edges, start vertex)
     val inputs: Seq[(String, Int, IndexedSeq[Edge], Int)] = Seq(6L, 7L).map { seed =>
       val ps = TestUtil.randomPoints(200, 2, seed)
       (s"200 random points, seed $seed", ps.n, TestUtil.bruteEmst(ps), 0)
     } ++ Seq(
       // The lightest 90% of these edges form one giant component: merged whole.
-      ("20K uniformFill 2D HDBSCAN* MST", 20000,
-        Hdbscan.mst(Generators.uniformFill(20000, 2, 3), 10, MemoGfk, SeqScheme).mst.edges, 0),
+      ("20K uniformFill 2D HDBSCAN* MST", 20000, hdbscan, 0),
+      // The same MST as boxed edges, which build copies into columns.
+      ("20K uniformFill 2D HDBSCAN* MST as a Vector", 20000, hdbscan.toVector, 0),
       // No majority component, so the light components recurse.
       ("four separated clusters", 10000, EmstMemoGfk.mst(fourClusters(2500), SeqScheme).edges, 5),
       ("star", 2000, IndexedSeq.tabulate(1999)(i => Edge(0, i + 1, rnd.nextDouble())), 7),
@@ -126,7 +128,10 @@ class DendrogramSpec extends AnyFunSuite {
         IndexedSeq.tabulate(1999)(i => Edge(rnd.nextInt(i + 1), i + 1, 1.0)), 3),
       ("path of increasing weights", 500, IndexedSeq.tabulate(499)(i => Edge(i, i + 1, (i + 1).toDouble)), 0),
     )
-    for ((name, n, edges, s) <- inputs) assertEveryScheme(n, edges, s, name)
+    val built = inputs.map { case (name, n, edges, s) => name -> assertEveryScheme(n, edges, s, name) }.toMap
+    assertSameNodes(built("20K uniformFill 2D HDBSCAN* MST as a Vector"),
+      built("20K uniformFill 2D HDBSCAN* MST"), "HDBSCAN* MST as a Vector and as its batch")
+    assert(built("20K uniformFill 2D HDBSCAN* MST").weight eq hdbscan.w, "a batch's w column is read in place")
     val n = 50000
     val path = IndexedSeq.tabulate(n - 1)(i => Edge(i, i + 1, (i + 1).toDouble))
     assertEveryScheme(n, path, 0, "path of increasing weights, n=50000")

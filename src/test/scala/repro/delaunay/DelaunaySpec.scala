@@ -11,7 +11,7 @@ class DelaunaySpec extends AnyFunSuite {
     val ps = PointSet.fromRows(Seq(
       Array(0.0, 0.0), Array(1.0, 0.0), Array(1.0, 1.0), Array(0.0, 1.0)))
     val t = Delaunay.triangulate(ps)
-    val e = t.edges.toSet
+    val e = t.edges.map(e => (e.u, e.v)).toSet
     assert(e.contains((0, 1)) && e.contains((1, 2)) && e.contains((2, 3)) && e.contains((0, 3)))
     // One of the two diagonals, never both.
     assert(e.contains((0, 2)) ^ e.contains((1, 3)))
@@ -43,7 +43,7 @@ class DelaunaySpec extends AnyFunSuite {
           }
         }
       }
-      val edgeSet = t.edges.toSet
+      val edgeSet = t.edges.map(e => (e.u, e.v)).toSet
       for (i <- 0 until ps.n; j <- i + 1 until ps.n if gabriel(i, j)) {
         assert(edgeSet.contains((i, j)), s"Gabriel edge ($i,$j) missing from Delaunay (n=${ps.n})")
       }
@@ -55,6 +55,7 @@ class DelaunaySpec extends AnyFunSuite {
     val t = Delaunay.triangulate(ps)
     assert(t.edges.size <= 3 * ps.n - 6)
     assert(t.edges.size >= ps.n - 1, "triangulation must connect all points")
+    assert(t.edges.forall(e => e.u < e.v && e.w == ps.dist(e.u, e.v)), "edges are u < v, weighed by length")
   }
 
   test("duplicates are reported and excluded from the triangulation") {
@@ -65,7 +66,7 @@ class DelaunaySpec extends AnyFunSuite {
     for (dup <- dups) {
       val rep = t.representative(dup)
       assert(ps.dist(dup, rep) == 0.0 && t.representative(rep) == rep)
-      assert(!t.edges.exists { case (u, v) => u == dup || v == dup })
+      assert(!t.edges.exists(e => e.u == dup || e.v == dup))
     }
   }
 
@@ -76,7 +77,7 @@ class DelaunaySpec extends AnyFunSuite {
     val rep = t.representative
     assert(rep(0) == rep(2) && rep(0) == rep(4), rep.toSeq)
     assert(Seq(0, 2, 4).count(i => rep(i) == i) == 1, rep.toSeq)
-    assert(t.edges.toSet.size == 3, t.edges)
+    assert(t.edges.map(e => (e.u, e.v)).toSet.size == 3, t.edges)
   }
 
   test("triangulation rejects non-2D input") {
@@ -89,7 +90,7 @@ class DelaunaySpec extends AnyFunSuite {
     val ps = PointSet.fromRows((0 until 10).map(i => Array(i.toDouble, 0.0)))
     val t = Delaunay.triangulate(ps)
     // All consecutive pairs must be present (they are Gabriel edges).
-    for (i <- 0 until 9) assert(t.edges.contains((i, i + 1)))
+    for (i <- 0 until 9) assert(t.edges.exists(e => (e.u, e.v) == (i, i + 1)))
   }
 }
 

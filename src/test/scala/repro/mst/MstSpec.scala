@@ -129,7 +129,7 @@ class KruskalSpec extends AnyFunSuite {
         i <- 0 until ps.n
         j <- i + 1 until ps.n
       } yield Edge(i, j, ps.dist(i, j))
-      val mst = Kruskal.mst(ps.n, edges)
+      val mst = Kruskal.mst(ps.n, edges, SeqScheme)
       assert(mst.size == ps.n - 1)
       TestUtil.assertSameWeight(mst, TestUtil.bruteEmst(ps))
     }
@@ -141,12 +141,12 @@ class KruskalSpec extends AnyFunSuite {
       i <- 0 until ps.n
       j <- i + 1 until ps.n
     } yield Edge(i, j, ps.dist(i, j))).sorted(Edge.ordering)
-    val oneShot = Kruskal.mst(ps.n, all)
+    val oneShot = Kruskal.mst(ps.n, all, SeqScheme)
     val uf = new UnionFind(ps.n)
-    val out = scala.collection.mutable.ArrayBuffer.empty[Edge]
+    val out = new EdgeBatch.Builder
     all.grouped(100).foreach(b => Kruskal.runBatch(EdgeBatch.of(b), uf, out, SeqScheme))
     assert(out.size == ps.n - 1)
-    assert(TestUtil.canonicalEdges(out) == TestUtil.canonicalEdges(oneShot))
+    assert(TestUtil.canonicalEdges(out.result()) == TestUtil.canonicalEdges(oneShot))
   }
 
   test("runBatch from columns accepts exactly the edges of a scan in Edge.ordering") {
@@ -160,17 +160,17 @@ class KruskalSpec extends AnyFunSuite {
       val ref = new UnionFind(n)
       val want = es.sorted(Edge.ordering).filter(e => ref.union(e.u, e.v))
       for (par <- MstSpec.schemes) {
-        val out = scala.collection.mutable.ArrayBuffer.empty[Edge]
+        val out = new EdgeBatch.Builder
         Kruskal.runBatch(EdgeBatch.of(es), new UnionFind(n), out, par)
         // Edge equality also compares orientation, and the sequences the order.
-        assert(out.toSeq == want, s"$name, ${par.name}")
+        assert(out.result() == want, s"$name, ${par.name}")
       }
     }
   }
 
   test("runBatch rejects a batch lighter than the heaviest accepted edge") {
     val uf = new UnionFind(4)
-    val out = scala.collection.mutable.ArrayBuffer.empty[Edge]
+    val out = new EdgeBatch.Builder
     Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(0, 1, 2.0))), uf, out, SeqScheme)
     // A tie with the heaviest accepted edge is still in order.
     Kruskal.runBatch(EdgeBatch.of(IndexedSeq(Edge(1, 2, 2.0))), uf, out, SeqScheme)
@@ -183,8 +183,16 @@ class KruskalSpec extends AnyFunSuite {
 
   test("Kruskal on a forest input returns a spanning forest") {
     val edges = IndexedSeq(Edge(0, 1, 1.0), Edge(2, 3, 1.0))
-    val mst = Kruskal.mst(4, edges)
+    val mst = Kruskal.mst(4, edges, SeqScheme)
     assert(mst.size == 2)
+  }
+
+  test("an edge batch is a read view of its columns") {
+    val es = Vector(Edge(0, 1, 1.0), Edge(3, 2, 0.5), Edge(1, 3, 2.0))
+    val b = EdgeBatch.of(es)
+    assert(EdgeBatch.of(b) eq b, "of must not copy a batch")
+    assert(b == es && es == b, "a batch equals the Vector of its edges")
+    assert(b.length == 3 && b(1) == Edge(3, 2, 0.5))
   }
 }
 
@@ -231,5 +239,10 @@ class PrimSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       Prim.treeOrder(4, IndexedSeq(Edge(0, 1, 1.0)), 0)
     }
+    // n - 1 edges, but with a cycle: the traversal runs out of edges.
+    val ex = intercept[IllegalArgumentException] {
+      Prim.treeOrder(4, IndexedSeq(Edge(0, 1, 1.0), Edge(1, 0, 1.0), Edge(2, 3, 1.0)), 0)
+    }
+    assert(ex.getMessage.contains("input edges do not form a connected tree"), ex.getMessage)
   }
 }

@@ -155,7 +155,7 @@ class WspdSpec extends AnyFunSuite {
     val comp = Wspd.nodeComponents(c.tree, snap)
     val all = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
     val edges = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges.toEdges
+      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges
     assert(edges.size == all.size)
     // Nothing is pruned over the full range, so every width computes one
     // BCCP per pair.
@@ -172,12 +172,12 @@ class WspdSpec extends AnyFunSuite {
     val snap = uf.snapshot()
     val comp = Wspd.nodeComponents(c.tree, snap)
     val all = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges.toEdges
+      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges
     val ws = all.map(_.w).sorted
     val lo = ws(ws.length / 4)
     val hi = ws(3 * ws.length / 4)
     val window = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      lo, hi, comp, snap, SeqScheme).edges.toEdges
+      lo, hi, comp, snap, SeqScheme).edges
     assert(window.forall(e => e.w >= lo && e.w < hi))
     assert(window.size == ws.count(w => w >= lo && w < hi))
   }
@@ -190,7 +190,7 @@ class WspdSpec extends AnyFunSuite {
     val snap = uf.snapshot()
     val comp = Wspd.nodeComponents(c.tree, snap)
     val edges = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges.toEdges
+      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges
     assert(edges.isEmpty)
   }
 
@@ -223,7 +223,7 @@ class WspdSpec extends AnyFunSuite {
       // wide frontier can emit descendants of a pair the sequential run
       // pruned, and count more BCCPs; their edges fall outside the window.
       def round(lo: Double, hi: Double, par: ParScheme) =
-        Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric, lo, hi, comp, snap, par).edges.toEdges.sorted
+        Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric, lo, hi, comp, snap, par).edges.sorted
       val ws = round(0.0, Double.PositiveInfinity, SeqScheme).map(_.w)
       val partial = if (ws.isEmpty) (0.0, 1.0) else (ws(ws.length / 4), ws(3 * ws.length / 4))
       for ((lo, hi) <- Seq((0.0, Double.PositiveInfinity), partial)) {
@@ -259,7 +259,7 @@ class WspdSpec extends AnyFunSuite {
         for (par <- SeqScheme +: ForkJoinScheme +: wideSchemes) {
           val at = s"n=$n $metricCtx [$lo, $hi) ${par.name}"
           val round = Wspd.getPairs(c, sep, metric, lo, hi, comp, snap, par)
-          val got = round.edges.toEdges
+          val got = round.edges
           assert(got.forall(e => snap(e.u) != snap(e.v)), at)
           assert(got.sorted == want, at)
           assert(round.inWindow == counted, at)
