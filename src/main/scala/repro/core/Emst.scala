@@ -94,8 +94,9 @@ object EmstGfk {
 }
 
 /** EMST-MemoGFK (Algorithm 3): the paper's fastest method. Never
-  * materializes the WSPD — each round re-traverses the kd-tree with
-  * GetRho/GetPairs pruning and only the in-range pairs become edges.
+  * materializes the WSPD — each round re-traverses the kd-tree once
+  * (`Wspd.round`, GetRho and GetPairs in one pruned pass) and only the
+  * in-range pairs become edges.
   */
 object EmstMemoGfk {
   def mst(ps: PointSet, par: ParScheme): MstResult = {

@@ -47,8 +47,8 @@ object MemoGfkEngine {
       rounds += 1
       val snap = uf.snapshot()
       val comp = Wspd.nodeComponents(ctx.tree, snap, par)
-      val rhoHi = Wspd.getRho(ctx, sep, metric, beta, comp, par)
-      val round = Wspd.getPairs(ctx, sep, metric, rhoLo, rhoHi, comp, snap, par)
+      val round = Wspd.round(ctx, sep, metric, beta, rhoLo, comp, snap, par)
+      val rhoHi = round.rhoHi
       pairsMaterialized += round.inWindow
       bccpComputed += round.bccps
       peak = math.max(peak, round.inWindow)

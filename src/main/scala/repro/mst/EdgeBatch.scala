@@ -31,13 +31,20 @@ final class EdgeBatch(val u: Array[Int], val v: Array[Int], val w: Array[Double]
     * [[RunSorter]] gives it in O(k log k) for a run of k. Runs are
     * independent, so `par.targetTasks` slices of the order, cut at run
     * starts, are fixed up with `par.forRange`.
+    *
+    * A batch already in that order, such as an MST in the order its
+    * Kruskal scan accepted the edges, is found by one linear pass and gets
+    * the identity without a sort.
     */
   def sortedIds(par: ParScheme): Array[Int] = {
     val m = length
+    var i = 1
+    while (i < m && !precedes(i, i - 1)) i += 1
+    if (i >= m) return Array.range(0, m)
     val idBits = 32 - Integer.numberOfLeadingZeros(math.max(m - 1, 1))
     val idMask = (1L << idBits) - 1
     val keys = new Array[Long](m)
-    var i = 0
+    i = 0
     while (i < m) { keys(i) = (EdgeBatch.orderedBits(w(i)) & ~idMask) | i; i += 1 }
     par.sort(keys)
     val ids = new Array[Int](m)
@@ -61,6 +68,18 @@ final class EdgeBatch(val u: Array[Int], val v: Array[Int], val w: Array[Double]
       }
     }
     ids
+  }
+
+  /** True iff edge `i` comes strictly before edge `j` in `Edge.ordering`. */
+  private def precedes(i: Int, j: Int): Boolean = {
+    val wi = EdgeBatch.orderedBits(w(i))
+    val wj = EdgeBatch.orderedBits(w(j))
+    if (wi != wj) wi < wj
+    else {
+      val li = math.min(u(i), v(i))
+      val lj = math.min(u(j), v(j))
+      if (li != lj) li < lj else math.max(u(i), v(i)) < math.max(u(j), v(j))
+    }
   }
 
   /** Scratch space for ordering runs whose keys tie above the id field. */

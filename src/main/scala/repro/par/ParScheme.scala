@@ -100,8 +100,8 @@ class ForkJoinScheme extends ParScheme {
   override def name: String = s"fork-join[$targetTasks]"
 
   /** Four items per core, so work stealing has unequal tasks to even out.
-    * The WSPD frontier, hence `getRho`'s value and the pair counts, follow
-    * this width (`Wspd.getRho`).
+    * The WSPD frontier, hence a MemoGFK round's ρ_hi and the pair counts,
+    * follow this width (`Wspd.round`).
     */
   override val targetTasks: Int = 4 * Runtime.getRuntime.availableProcessors
 }

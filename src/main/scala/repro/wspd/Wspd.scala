@@ -1,5 +1,9 @@
 package repro.wspd
 
+import java.lang.Double.{doubleToLongBits, longBitsToDouble}
+import java.util.Arrays
+import java.util.concurrent.atomic.AtomicLong
+
 import scala.collection.mutable.ArrayBuffer
 
 import repro.kdtree.KdTree
@@ -145,14 +149,13 @@ case object MutualReachMetric extends Metric {
   }
 }
 
-/** WSPD construction and the MemoGFK pruned traversals (Algorithms 1 & 3).
+/** WSPD construction and the MemoGFK round (Algorithms 1 & 3).
   *
-  * Each traversal is one [[findPairsRec]] call per work item, with that
-  * traversal's emit and prune logic written once. The driver only cuts the
-  * top of the Algorithm-1 recursion into independent FindPair tasks
-  * ([[frontier]]) and combines the tasks' results by a min or a
-  * concatenation; no traversal work runs on the driver. Under `SeqScheme`
-  * the one task is the whole tree.
+  * Every traversal is the one FindPair recursion of [[Walk]], run once per
+  * work item. The driver only cuts the top of the Algorithm-1 recursion into
+  * independent FindPair tasks ([[frontier]]) and combines the tasks' results
+  * by a min or a concatenation; no traversal work runs on the driver. Under
+  * `SeqScheme` the one task is the whole tree.
   */
 object Wspd {
 
@@ -189,7 +192,7 @@ object Wspd {
     * emits nothing: a well-separated pair stays a task, and a leaf split,
     * which finds no pair, is dropped.
     */
-  private def frontier(c: Ctx, sep: Sep, target: Int): IndexedSeq[Task] = {
+  private[wspd] def frontier(c: Ctx, sep: Sep, target: Int): IndexedSeq[Task] = {
     val t = c.tree
     val open = scala.collection.mutable.Queue(Task(t.root, t.root))
     val done = ArrayBuffer.empty[Task]
@@ -209,60 +212,128 @@ object Wspd {
     (done ++ open).toIndexedSeq
   }
 
-  /** A test or action on a visited pair `(a, b)` whose center distance
-    * `t.centerDist(a, b)` is `cd`. Primitive SAM types, so the per-visit
-    * calls box nothing.
+  /** One task's FindPair recursion (Algorithm 1) in a MemoGFK round: it
+    * computes GetRho's running `rho` and collects GetPairs' candidate pairs
+    * in the same pass (see [[round]]). A pair inside one pure node (`comp`)
+    * is pruned, and every other visited pair `(a, b)` gets three values from
+    * its parent pair:
+    *   - `pathLb`, the largest `lb` from the task root down to the pair;
+    *   - `rhoVis`, true iff GetRho visits the pair: its parent's `rhoVis`
+    *     holds, |A| + |B| > `beta`, and `!(lb >= rho)`. A well-separated
+    *     `rhoVis` pair sets `rho` to its `lb`. `ub` never prunes it;
+    *   - `live`, true iff its parent's `live` holds and the bounds leave it
+    *     in `[rhoLo, bound)`, where `bound` is the lower of `rho` and the
+    *     round's `shared` minimum of the tasks' `rho`s. A well-separated
+    *     `live` pair is appended to the candidate columns with its `pathLb`.
+    * The recursion stops where neither flag holds. Each visited pair's
+    * center distance is computed once.
     */
-  private trait PairTest { def apply(a: Int, b: Int, cd: Double): Boolean }
-  private trait PairAction { def apply(a: Int, b: Int, cd: Double): Unit }
+  private final class Walk(c: Ctx, sep: Sep, metric: Metric, beta: Long, rhoLo: Double,
+      comp: Array[Int], shared: AtomicLong) {
+    private val t = c.tree
+    var rho = Double.PositiveInfinity
+    private var candA = new Array[Int](16)
+    private var candB = new Array[Int](16)
+    private var candLb = new Array[Double](16)
+    private var count = 0
 
-  /** The FindPair recursion (Algorithm 1) from one task, shared by every
-    * traversal; `pruneNode`/`prunePair` are MemoGFK's cuts (Algorithm 3).
-    * Each visited pair's center distance is computed once and passed to the
-    * prune, separation and emit tests.
-    */
-  private def findPairsRec(
-      c: Ctx,
-      sep: Sep,
-      task: Task,
-      emit: PairAction,
-      pruneNode: Int => Boolean,
-      prunePair: PairTest,
-  ): Unit = {
-    val t = c.tree
-    def pair(a: Int, b: Int): Unit = {
-      val cd = t.centerDist(a, b)
-      if (!prunePair(a, b, cd)) {
-        if (sep.wellSeparated(c, a, b, cd)) emit(a, b, cd)
-        else {
-          // Split the node with the larger bounding sphere (Algorithm 1).
-          val splitA = t.radius(a) >= t.radius(b)
-          val p = if (splitA) a else b
-          val q = if (splitA) b else a
-          pair(t.left(p), q)
-          pair(t.right(p), q)
-        }
-      }
-    }
-    def split(a: Int): Unit =
-      if (!t.isLeaf(a) && !pruneNode(a)) {
+    def run(task: Task): Unit =
+      if (task.a == task.b) split(task.a)
+      else pair(task.a, task.b, Double.NegativeInfinity, rhoVisAbove = true, liveAbove = true)
+
+    private def split(a: Int): Unit =
+      if (!t.isLeaf(a) && comp(a) < 0) {
         split(t.left(a))
         split(t.right(a))
-        pair(t.left(a), t.right(a))
+        pair(t.left(a), t.right(a), Double.NegativeInfinity, rhoVisAbove = true, liveAbove = true)
       }
-    if (task.a == task.b) split(task.a) else pair(task.a, task.b)
+
+    private def pair(a: Int, b: Int, lbAbove: Double, rhoVisAbove: Boolean, liveAbove: Boolean): Unit =
+      if (comp(a) < 0 || comp(a) != comp(b)) {
+        val cd = t.centerDist(a, b)
+        val lb = metric.lb(c, a, b, cd)
+        val rhoVis = rhoVisAbove && t.size(a).toLong + t.size(b) > beta && !(lb >= rho)
+        val live = liveAbove && !lbPrunes(lb, math.min(rho, longBitsToDouble(shared.get))) &&
+          !ubPrunes(metric.ub(c, a, b, cd), rhoLo)
+        if (rhoVis || live) {
+          val pathLb = math.max(lbAbove, lb)
+          if (sep.wellSeparated(c, a, b, cd)) {
+            if (rhoVis) { rho = lb; publish(lb) }
+            if (live) add(a, b, pathLb)
+          } else {
+            // Split the node with the larger bounding sphere (Algorithm 1).
+            val splitA = t.radius(a) >= t.radius(b)
+            val p = if (splitA) a else b
+            val q = if (splitA) b else a
+            pair(t.left(p), q, pathLb, rhoVis, live)
+            pair(t.right(p), q, pathLb, rhoVis, live)
+          }
+        }
+      }
+
+    /** Lowers the round's shared minimum to `x` if it is higher. */
+    private def publish(x: Double): Unit = {
+      var cur = shared.get
+      while (x < longBitsToDouble(cur) && !shared.compareAndSet(cur, doubleToLongBits(x)))
+        cur = shared.get
+    }
+
+    private def add(a: Int, b: Int, pathLb: Double): Unit = {
+      if (count == candA.length) {
+        candA = Arrays.copyOf(candA, 2 * count)
+        candB = Arrays.copyOf(candB, 2 * count)
+        candLb = Arrays.copyOf(candLb, 2 * count)
+      }
+      candA(count) = a; candB(count) = b; candLb(count) = pathLb
+      count += 1
+    }
+
+    def pairs: IndexedSeq[(Int, Int)] = IndexedSeq.tabulate(count)(i => (candA(i), candB(i)))
+
+    /** GetPairs' emits among the candidates, in visit order: those whose
+      * `pathLb` does not clear `rhoHi`. Returns the kept edges, the number
+      * in the window and the number of BCCPs, as in [[PairsRound]].
+      */
+    def emits(rhoHi: Double, snap: Array[Int]): (EdgeBatch, Long, Long) = {
+      val out = new EdgeBatch.Builder
+      var inWindow = 0L
+      var bccps = 0L
+      var i = 0
+      while (i < count) {
+        if (!lbPrunes(candLb(i), rhoHi)) {
+          // Bounds may not exclude the pair, but the exact BCCP decides.
+          val e = metric.bccp(c, candA(i), candB(i))
+          bccps += 1
+          if (e.w >= rhoLo && e.w < rhoHi) {
+            inWindow += 1
+            if (snap(e.u) != snap(e.v)) out.add(e.u, e.v, e.w)
+          }
+        }
+        i += 1
+      }
+      (out.result(), inWindow, bccps)
+    }
+  }
+
+  /** Runs a [[Walk]] on every [[frontier]] task under `par`, in task order. */
+  private def walks(c: Ctx, sep: Sep, metric: Metric, beta: Long, rhoLo: Double,
+      comp: Array[Int], par: ParScheme): IndexedSeq[Walk] = {
+    val shared = new AtomicLong(doubleToLongBits(Double.PositiveInfinity))
+    par.mapItems(frontier(c, sep, par.targetTasks)) { task =>
+      val w = new Walk(c, sep, metric, beta, rhoLo, comp, shared)
+      w.run(task)
+      w
+    }
   }
 
   /** Full WSPD of the tree (Algorithm 1): every well-separated pair under
-    * `sep`, gathered from the fan-out of [[frontier]] tasks under `par`.
+    * `sep`, in task order. It is [[Walk]] with the window open: no pair's
+    * cardinality exceeds `Long.MaxValue`, so `rho` stays infinite, `rhoLo`
+    * is -∞, and no node is pure.
     */
   def allPairs(c: Ctx, sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] =
-    par.flatMapItems(frontier(c, sep, par.targetTasks)) { task =>
-      val buf = ArrayBuffer.empty[(Int, Int)]
-      findPairsRec(c, sep, task, (a, b, _) => buf += ((a, b)),
-        _ => false, (_, _, _) => false)
-      buf.toSeq
-    }
+    walks(c, sep, EuclidMetric, Long.MaxValue, Double.NegativeInfinity,
+      Array.fill(c.tree.nNodes)(-1), par).flatMap(_.pairs)
 
   /** Per-node union-find purity: `nodeComp(a)` is the component root if all
     * points under `a` share one component, else -1. Recomputed each GFK
@@ -288,90 +359,52 @@ object Wspd {
     out
   }
 
-  /** MemoGFK's GetRho (Algorithm 3, line 4): a lower bound on the weight of
-    * every edge that a not-yet-connected well-separated pair of cardinality
-    * greater than `beta` can produce. Infinity if no such pair remains.
-    * The sphere `lb` is not monotone under kd-tree refinement, so the value
-    * (always the `lb` of one such pair) depends on the visit order, hence
-    * on `par.targetTasks`; every value it can take is a valid bound.
-    * `comp` is [[nodeComponents]] of the round's union-find snapshot.
+  /** Result of one MemoGFK round: GetRho's `rhoHi`, the in-window edges
+    * that join two components of the round's snapshot, the number of
+    * in-window edges before that filter, and the number of BCCPs computed to
+    * find them (one per pair GetPairs emits, in window or not).
     */
-  def getRho(
+  final case class PairsRound(rhoHi: Double, edges: EdgeBatch, inWindow: Long, bccps: Long)
+
+  /** One MemoGFK round (Algorithm 3, lines 4–5) over the well-separated
+    * pairs that are not yet connected in `snap`, the round's union-find
+    * snapshot; `comp` is its [[nodeComponents]].
+    *
+    * GetRho: `rhoHi` is a lower bound on the weight of every edge that such
+    * a pair of cardinality greater than `beta` can produce, infinity if no
+    * such pair remains. The sphere `lb` is not monotone under kd-tree
+    * refinement, so the value (always the `lb` of one such pair) depends on
+    * the visit order, hence on `par.targetTasks`; every value it can take is
+    * a valid bound.
+    *
+    * GetPairs: the BCCP edges of such pairs whose weight falls in
+    * `[rhoLo, rhoHi)`, pruning subtrees whose bounds put them out of range
+    * (Figure 3b). An in-window edge whose endpoints already share a root in
+    * `snap` is counted and dropped, as GeoFilterKruskal's Filter step
+    * (Algorithm 2) drops it: Kruskal would reject it.
+    *
+    * One [[Walk]] per [[frontier]] task does both. Every `live` bound is at
+    * least the final `rhoHi`, so its candidates include every pair GetPairs
+    * emits with `rhoHi`, and a candidate is such a pair iff its `pathLb`
+    * does not clear `rhoHi`. A second fan-out over the same tasks keeps
+    * those and computes their BCCPs, in the order of a GetPairs traversal
+    * run after GetRho; the round concatenates the tasks' kept edges into one
+    * batch, in task order. Only the number of candidates depends on the
+    * tasks' timing, through the shared minimum.
+    */
+  def round(
       c: Ctx,
       sep: Sep,
       metric: Metric,
       beta: Long,
-      comp: Array[Int],
-      par: ParScheme,
-  ): Double =
-    par.mapItems(frontier(c, sep, par.targetTasks)) { task =>
-      val t = c.tree
-      var rho = Double.PositiveInfinity
-      findPairsRec(c, sep, task,
-        emit = (a, b, cd) => {
-          if (t.size(a).toLong + t.size(b) > beta) {
-            val l = metric.lb(c, a, b, cd)
-            if (l < rho) rho = l
-          }
-        },
-        pruneNode = a => comp(a) >= 0,
-        prunePair = (a, b, cd) => {
-          (comp(a) >= 0 && comp(a) == comp(b)) ||
-          t.size(a).toLong + t.size(b) <= beta ||
-          metric.lb(c, a, b, cd) >= rho
-        })
-      rho
-    }.foldLeft(Double.PositiveInfinity)(math.min)
-
-  /** Result of one GetPairs round: the in-window edges that join two
-    * components of the round's snapshot, the number of in-window edges
-    * before that filter, and the number of BCCPs computed to find them (one
-    * per emitted pair, in window or not).
-    */
-  final case class PairsRound(edges: EdgeBatch, inWindow: Long, bccps: Long)
-
-  /** MemoGFK's GetPairs (Algorithm 3, line 5): materializes the BCCP edges
-    * of well-separated, not-yet-connected pairs whose BCCP weight falls in
-    * `[rhoLo, rhoHi)`, pruning subtrees whose bounds put them out of range
-    * (Figure 3b). An in-window edge whose endpoints already share a root in
-    * `snap`, the round's union-find snapshot, is counted and dropped, as
-    * GeoFilterKruskal's Filter step (Algorithm 2) drops it: Kruskal would
-    * reject it. Each task appends its kept edges to primitive columns, and
-    * the round concatenates them into one batch, in task order. `comp` is
-    * as in [[getRho]].
-    */
-  def getPairs(
-      c: Ctx,
-      sep: Sep,
-      metric: Metric,
       rhoLo: Double,
-      rhoHi: Double,
       comp: Array[Int],
       snap: Array[Int],
       par: ParScheme,
   ): PairsRound = {
-    val rounds = par.mapItems(frontier(c, sep, par.targetTasks)) { task =>
-      val out = new EdgeBatch.Builder
-      var inWindow = 0L
-      var bccps = 0L
-      findPairsRec(c, sep, task,
-        emit = (a, b, _) => {
-          // Bounds may not exclude the pair, but the exact BCCP decides.
-          val e = metric.bccp(c, a, b)
-          bccps += 1
-          if (e.w >= rhoLo && e.w < rhoHi) {
-            inWindow += 1
-            if (snap(e.u) != snap(e.v)) out.add(e.u, e.v, e.w)
-          }
-        },
-        pruneNode = a => comp(a) >= 0,
-        prunePair = (a, b, cd) => {
-          (comp(a) >= 0 && comp(a) == comp(b)) ||
-          lbPrunes(metric.lb(c, a, b, cd), rhoHi) ||
-          ubPrunes(metric.ub(c, a, b, cd), rhoLo)
-        })
-      (out.result(), inWindow, bccps)
-    }
-    PairsRound(EdgeBatch.concat(rounds.map(_._1)), rounds.map(_._2).sum, rounds.map(_._3).sum)
+    val ws = walks(c, sep, metric, beta, rhoLo, comp, par)
+    val rhoHi = ws.foldLeft(Double.PositiveInfinity)((r, w) => math.min(r, w.rho))
+    val parts = par.mapItems(ws)(_.emits(rhoHi, snap))
+    PairsRound(rhoHi, EdgeBatch.concat(parts.map(_._1)), parts.map(_._2).sum, parts.map(_._3).sum)
   }
 }

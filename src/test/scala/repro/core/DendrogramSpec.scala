@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestUtil
 import repro.geometry.{Generators, PointSet}
-import repro.mst.{Edge, EdgeBatch, Prim}
+import repro.mst.{Edge, EdgeBatch, Prim, SortCounting}
 import repro.par.{ForkJoinScheme, ParScheme, SeqScheme}
 import repro.wspd.WideSeqScheme
 
@@ -146,6 +146,35 @@ class DendrogramSpec extends AnyFunSuite {
   test("parallel dendrogram at every width on larger input") {
     val ps = Generators.uniformFill(3000, 2, 9)
     assertEveryScheme(ps.n, EmstMemoGfk.mst(ps, SeqScheme).edges, 0, "uniformFill 3000")
+  }
+
+  test("an ordered MST is not sorted again, and its dendrogram is the sorted path's up to edge ids") {
+    val ps = Generators.ssVarden(2000, 2, 23)
+    val n = ps.n
+    val mst = EmstMemoGfk.mst(ps, SeqScheme).edges
+    // shuffled(k) = mst(perm(k)), so node n + k built from it is node n + perm(k) built from mst.
+    val rnd = new java.util.Random(23)
+    val perm = Array.range(0, n - 1)
+    for (i <- perm.length - 1 to 1 by -1) {
+      val j = rnd.nextInt(i + 1)
+      val x = perm(i); perm(i) = perm(j); perm(j) = x
+    }
+    val shuffled = perm.toIndexedSeq.map(mst)
+    def relabel(x: Int): Int = if (x < n) x else n + perm(x - n)
+    for (inner <- DendrogramSpec.schemes) {
+      val direct = new SortCounting(inner)
+      val d = Dendrogram.build(n, mst, 0, direct)
+      assert(direct.sorts == 0, inner.name)
+      val sorting = new SortCounting(inner)
+      val e = Dendrogram.build(n, shuffled, 0, sorting)
+      assert(sorting.sorts == 1, inner.name)
+      assert(relabel(e.root) == d.root, inner.name)
+      for (k <- 0 until n - 1) {
+        assert(relabel(e.left(k)) == d.left(perm(k)), s"${inner.name} node ${n + k}")
+        assert(relabel(e.right(k)) == d.right(perm(k)), s"${inner.name} node ${n + k}")
+        assert(e.weight(k) == d.weight(perm(k)), s"${inner.name} node ${n + k}")
+      }
+    }
   }
 
   test("dendrogram at n=2") {

@@ -151,12 +151,14 @@ class SparkParitySpec extends AnyFunSuite {
         val at = s"$input, $sep"
         assert(Wspd.allPairs(c, sep, par) == Wspd.allPairs(c, sep, wide), at)
         for (beta <- Seq(2L, 64L))
-          assert(Wspd.getRho(c, sep, metric, beta, comp, par) ==
-            Wspd.getRho(c, sep, metric, beta, comp, wide), s"$at beta=$beta")
-        val rho = Wspd.getRho(c, sep, metric, 64L, comp, wide)
-        for ((lo, hi) <- Seq((0.0, rho), (0.0, Double.PositiveInfinity))) {
-          val want = Wspd.getPairs(c, sep, metric, lo, hi, comp, snap, wide)
-          val got = Wspd.getPairs(c, sep, metric, lo, hi, comp, snap, par)
+          assert(Wspd.round(c, sep, metric, beta, 0.0, comp, snap, par).rhoHi ==
+            Wspd.round(c, sep, metric, beta, 0.0, comp, snap, wide).rhoHi, s"$at beta=$beta")
+        // The windows [0, ρ_hi(β = 64)) and [0, ∞).
+        for ((lo, beta) <- Seq((0.0, 64L), (0.0, Long.MaxValue))) {
+          val want = Wspd.round(c, sep, metric, beta, lo, comp, snap, wide)
+          val got = Wspd.round(c, sep, metric, beta, lo, comp, snap, par)
+          val hi = want.rhoHi
+          assert(got.rhoHi == hi, s"$at [$lo, $hi)")
           assert(got.bccps == want.bccps, s"$at [$lo, $hi)")
           // The batch columns in the order the tasks emitted them.
           assert(got.edges.u.sameElements(want.edges.u) && got.edges.v.sameElements(want.edges.v) &&

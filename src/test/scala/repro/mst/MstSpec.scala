@@ -13,6 +13,21 @@ private object MstSpec {
   val schemes: Seq[ParScheme] = Seq(SeqScheme, ForkJoinScheme, WideSeqScheme(16))
 }
 
+/** `inner`, counting its `sort` calls. */
+final class SortCounting(inner: ParScheme) extends ParScheme {
+  var sorts = 0
+
+  override def name: String = s"sort-counting[${inner.name}]"
+
+  override def targetTasks: Int = inner.targetTasks
+
+  override def forRange(n: Int)(body: Int => Unit): Unit = inner.forRange(n)(body)
+
+  override def join2[A, B](a: => A, b: => B): (A, B) = inner.join2(a, b)
+
+  override def sort(keys: Array[Long]): Unit = { sorts += 1; inner.sort(keys) }
+}
+
 class UnionFindSpec extends AnyFunSuite {
 
   test("fresh union-find has n components, all singletons") {
@@ -116,6 +131,31 @@ class EdgeSpec extends AnyFunSuite {
       assert(ids.toSeq.map(es) == es.sorted(Edge.ordering), s"$name, ${par.name}")
       // Equal edges are indistinguishable above, so check the ids keep input order too.
       assert(ids.toSeq == es.indices.sortBy(es)(Edge.ordering), s"$name, ${par.name}")
+    }
+  }
+
+  test("sortedIds returns the identity for an ordered batch without sorting, and sorts one inversion") {
+    val rnd = new java.util.Random(19)
+    val ordered = Seq(
+      "ties, -0.0/0.0 and duplicates" -> IndexedSeq(
+        Edge(4, 5, -0.0), Edge(0, 1, 0.0), Edge(1, 0, 0.0), Edge(0, 1, 0.0), Edge(2, 3, 0.0),
+        Edge(1, 9, 1.5), Edge(3, 7, 1.5), Edge(7, 3, 1.5), Edge(3, 8, 1.5), Edge(2, 5, 2.0),
+        Edge(6, 0, Double.PositiveInfinity), Edge(0, 6, Double.PositiveInfinity)),
+      "integer-tied 100000" -> IndexedSeq.fill(100000)(
+        Edge(rnd.nextInt(1000), rnd.nextInt(1000), rnd.nextInt(5).toDouble)).sorted(Edge.ordering))
+    for ((name, es) <- ordered; inner <- MstSpec.schemes) {
+      val stable = es.indices.sortBy(es)(Edge.ordering)
+      val par = new SortCounting(inner)
+      val ids = EdgeBatch.of(es).sortedIds(par)
+      assert(ids.toSeq == stable && ids.toSeq == es.indices, s"$name, ${inner.name}")
+      assert(par.sorts == 0, s"$name, ${inner.name}")
+      // Swap the first two adjacent edges that differ in the order.
+      val k = es.indices.find(i => Edge.ordering.lt(es(i), es(i + 1))).get
+      val inverted = es.updated(k, es(k + 1)).updated(k + 1, es(k))
+      val sortedPar = new SortCounting(inner)
+      val got = EdgeBatch.of(inverted).sortedIds(sortedPar)
+      assert(got.toSeq == inverted.indices.sortBy(inverted)(Edge.ordering), s"$name inverted, ${inner.name}")
+      assert(sortedPar.sorts == 1, s"$name inverted, ${inner.name}")
     }
   }
 }

@@ -2,7 +2,11 @@ package repro.wspd
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import java.lang.Double.doubleToLongBits
+
 import repro.TestUtil
+import repro.core.CoreDist
+import repro.geometry.{Generators, PointSet}
 import repro.kdtree.KdTree
 import repro.mst.UnionFind
 import repro.par.{ForkJoinScheme, ParScheme, SeqScheme}
@@ -135,18 +139,22 @@ class WspdSpec extends AnyFunSuite {
   test("getRho equals the brute-force minimum over large unconnected pairs") {
     val c = euclidCtx(90, 2, 11)
     val uf = new UnionFind(90)
-    val comp = Wspd.nodeComponents(c.tree, uf.snapshot())
+    val snap = uf.snapshot()
+    val comp = Wspd.nodeComponents(c.tree, snap)
     val all = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
     for (beta <- Seq(2L, 8L, 64L)) {
       val brute = all
         .filter { case (a, b) => c.tree.size(a).toLong + c.tree.size(b) > beta }
         .map { case (a, b) => EuclidMetric.lb(c, a, b, c.tree.centerDist(a, b)) }
       val want = if (brute.isEmpty) Double.PositiveInfinity else brute.min
-      val got = Wspd.getRho(c, GeometricSep(2.0), EuclidMetric, beta, comp, SeqScheme)
+      val got = Wspd.round(c, GeometricSep(2.0), EuclidMetric, beta, 0.0, comp, snap, SeqScheme).rhoHi
       assert(math.abs(got - want) < 1e-12 || (got.isPosInfinity && want.isPosInfinity),
         s"beta=$beta got=$got want=$want")
     }
   }
+
+  /** A round whose GetRho finds no pair: `rhoHi` is infinite, so the window is `[rhoLo, ∞)`. */
+  private val openBeta = Long.MaxValue
 
   test("getPairs over the full range returns one BCCP edge per WSPD pair") {
     val c = euclidCtx(70, 3, 12)
@@ -154,14 +162,15 @@ class WspdSpec extends AnyFunSuite {
     val snap = uf.snapshot()
     val comp = Wspd.nodeComponents(c.tree, snap)
     val all = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
-    val edges = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges
+    def full(par: ParScheme) =
+      Wspd.round(c, GeometricSep(2.0), EuclidMetric, openBeta, 0.0, comp, snap, par)
+    assert(full(SeqScheme).rhoHi.isPosInfinity)
+    val edges = full(SeqScheme).edges
     assert(edges.size == all.size)
     // Nothing is pruned over the full range, so every width computes one
     // BCCP per pair.
     for (par <- SeqScheme +: wideSchemes)
-      assert(Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-        0.0, Double.PositiveInfinity, comp, snap, par).bccps == all.size, par.name)
+      assert(full(par).bccps == all.size, par.name)
     val wantWeights = all.map { case (a, b) => EuclidMetric.bccp(c, a, b).w }.sorted
     assert(edges.map(_.w).sorted.zip(wantWeights).forall { case (a, b) => math.abs(a - b) < 1e-12 })
   }
@@ -171,15 +180,18 @@ class WspdSpec extends AnyFunSuite {
     val uf = new UnionFind(70)
     val snap = uf.snapshot()
     val comp = Wspd.nodeComponents(c.tree, snap)
-    val all = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges
-    val ws = all.map(_.w).sorted
-    val lo = ws(ws.length / 4)
-    val hi = ws(3 * ws.length / 4)
-    val window = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      lo, hi, comp, snap, SeqScheme).edges
-    assert(window.forall(e => e.w >= lo && e.w < hi))
-    assert(window.size == ws.count(w => w >= lo && w < hi))
+    val ws = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
+      .map { case (a, b) => EuclidMetric.bccp(c, a, b).w }.sorted
+    var partial = 0
+    for (lo <- Seq(0.0, ws(ws.length / 4)); beta <- Seq(2L, 8L, 64L)) {
+      val round = Wspd.round(c, GeometricSep(2.0), EuclidMetric, beta, lo, comp, snap, SeqScheme)
+      val hi = round.rhoHi
+      val window = round.edges
+      assert(window.forall(e => e.w >= lo && e.w < hi), s"[$lo, $hi)")
+      assert(window.size == ws.count(w => w >= lo && w < hi), s"[$lo, $hi)")
+      if (window.nonEmpty && window.size < ws.length) partial += 1
+    }
+    assert(partial > 0, "no window cut the pairs")
   }
 
   test("getPairs skips pairs already connected in the union-find") {
@@ -189,8 +201,8 @@ class WspdSpec extends AnyFunSuite {
     (0 until ps.n - 1).foreach(i => uf.union(i, i + 1)) // everything connected
     val snap = uf.snapshot()
     val comp = Wspd.nodeComponents(c.tree, snap)
-    val edges = Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric,
-      0.0, Double.PositiveInfinity, comp, snap, SeqScheme).edges
+    val edges = Wspd.round(c, GeometricSep(2.0), EuclidMetric,
+      openBeta, 0.0, comp, snap, SeqScheme).edges
     assert(edges.isEmpty)
   }
 
@@ -205,6 +217,22 @@ class WspdSpec extends AnyFunSuite {
     (0 until n / 3).foreach(i => uf.union(i, i + 1))
     val snap = uf.snapshot()
     (c, snap, Wspd.nodeComponents(c.tree, snap))
+  }
+
+  /** The brute-force round: the BCCP of every WSPD pair under `sep`, in
+    * `[lo, hi)`, with the count of in-window pairs that are not inside one
+    * pure node and the edges among them whose endpoints `snap` keeps apart,
+    * sorted.
+    */
+  private def bruteRound(c: Ctx, sep: Sep, metric: Metric, lo: Double, hi: Double,
+      comp: Array[Int], snap: Array[Int]): (Long, IndexedSeq[repro.mst.Edge]) = {
+    val inWindow = Wspd.allPairs(c, sep, SeqScheme)
+      .map { case (a, b) => ((a, b), metric.bccp(c, a, b)) }
+      .filter { case (_, e) => e.w >= lo && e.w < hi }
+    // The edges counted: those of every in-window pair but the ones inside
+    // one pure node, which are pruned before their BCCP.
+    val counted = inWindow.count { case ((a, b), _) => !(comp(a) >= 0 && comp(a) == comp(b)) }
+    (counted.toLong, inWindow.map(_._2).filter(e => snap(e.u) != snap(e.v)).sorted)
   }
 
   test("allPairs at every frontier width equals the sequential WSPD") {
@@ -222,14 +250,21 @@ class WspdSpec extends AnyFunSuite {
       // Edges only: the sphere lb is not monotone under refinement, so a
       // wide frontier can emit descendants of a pair the sequential run
       // pruned, and count more BCCPs; their edges fall outside the window.
-      def round(lo: Double, hi: Double, par: ParScheme) =
-        Wspd.getPairs(c, GeometricSep(2.0), EuclidMetric, lo, hi, comp, snap, par).edges.sorted
-      val ws = round(0.0, Double.PositiveInfinity, SeqScheme).map(_.w)
-      val partial = if (ws.isEmpty) (0.0, 1.0) else (ws(ws.length / 4), ws(3 * ws.length / 4))
-      for ((lo, hi) <- Seq((0.0, Double.PositiveInfinity), partial)) {
-        val want = round(lo, hi, SeqScheme)
-        for (par <- wideSchemes)
-          assert(round(lo, hi, par) == want, s"n=$n [$lo, $hi) ${par.name}")
+      // For the same reason `rhoHi` can differ between widths, so each
+      // width's edges are also checked by brute force at its own `rhoHi`.
+      def round(lo: Double, beta: Long, par: ParScheme) =
+        Wspd.round(c, GeometricSep(2.0), EuclidMetric, beta, lo, comp, snap, par)
+      val ws = round(0.0, openBeta, SeqScheme).edges.sorted.map(_.w)
+      val partial = if (ws.isEmpty) (0.0, 8L) else (ws(ws.length / 4), 8L)
+      for ((lo, beta) <- Seq((0.0, openBeta), partial)) {
+        val want = round(lo, beta, SeqScheme)
+        for (par <- wideSchemes) {
+          val at = s"n=$n lo=$lo beta=$beta ${par.name}"
+          val got = round(lo, beta, par)
+          if (got.rhoHi == want.rhoHi) assert(got.edges.sorted == want.edges.sorted, at)
+          assert(got.edges.sorted ==
+            bruteRound(c, GeometricSep(2.0), EuclidMetric, lo, got.rhoHi, comp, snap)._2, at)
+        }
       }
     }
   }
@@ -246,19 +281,14 @@ class WspdSpec extends AnyFunSuite {
       (0 until n / 4).foreach(_ => uf.union(rnd.nextInt(n), rnd.nextInt(n)))
       val snap = uf.snapshot()
       val comp = Wspd.nodeComponents(c.tree, snap)
-      val pairs = Wspd.allPairs(c, sep, SeqScheme)
-      val bccps = pairs.map { case (a, b) => metric.bccp(c, a, b) }
-      val ws = bccps.map(_.w).sorted
-      for ((lo, hi) <- Seq((0.0, Double.PositiveInfinity), (ws(ws.length / 4), ws(3 * ws.length / 4)))) {
-        val inWindow = pairs.zip(bccps).filter { case (_, e) => e.w >= lo && e.w < hi }
-        val want = inWindow.map(_._2).filter(e => snap(e.u) != snap(e.v)).sorted
-        // The edges counted: those of every in-window pair but the ones
-        // inside one pure node, which are pruned before their BCCP.
-        val counted = inWindow.count { case ((a, b), _) => !(comp(a) >= 0 && comp(a) == comp(b)) }
-        assert(want.size < counted, s"n=$n $metricCtx [$lo, $hi): the state drops nothing")
+      val ws = Wspd.allPairs(c, sep, SeqScheme).map { case (a, b) => metric.bccp(c, a, b).w }.sorted
+      for ((lo, beta) <- Seq((0.0, openBeta), (ws(ws.length / 4), 64L))) {
         for (par <- SeqScheme +: ForkJoinScheme +: wideSchemes) {
+          val round = Wspd.round(c, sep, metric, beta, lo, comp, snap, par)
+          val hi = round.rhoHi
           val at = s"n=$n $metricCtx [$lo, $hi) ${par.name}"
-          val round = Wspd.getPairs(c, sep, metric, lo, hi, comp, snap, par)
+          val (counted, want) = bruteRound(c, sep, metric, lo, hi, comp, snap)
+          assert(want.size < counted, s"$at: the state drops nothing")
           val got = round.edges
           assert(got.forall(e => snap(e.u) != snap(e.v)), at)
           assert(got.sorted == want, at)
@@ -277,7 +307,7 @@ class WspdSpec extends AnyFunSuite {
         c.tree.size(a).toLong + c.tree.size(b) > beta && !(comp(a) >= 0 && comp(a) == comp(b))
       }
       for (par <- SeqScheme +: wideSchemes) {
-        val rho = Wspd.getRho(c, GeometricSep(2.0), EuclidMetric, beta, comp, par)
+        val rho = Wspd.round(c, GeometricSep(2.0), EuclidMetric, beta, 0.0, comp, snap, par).rhoHi
         val at = s"n=$n beta=$beta ${par.name} rho=$rho"
         if (large.isEmpty) assert(rho.isPosInfinity, at)
         else {
@@ -286,6 +316,51 @@ class WspdSpec extends AnyFunSuite {
         }
       }
     }
+  }
+
+  test("round equals the two-pass GetRho/GetPairs reference bit for bit") {
+    val grid = TestUtil.integerGrid(24, 2)
+    val inputs = Seq(
+      ("uniform 2D", TestUtil.randomPoints(1200, 2, 41)),
+      ("uniform 5D", TestUtil.randomPoints(800, 5, 42)),
+      ("ss-varden 3D", Generators.ssVarden(1200, 3, 43)),
+      ("grid with duplicates 2D",
+        new PointSet(grid.coords ++ grid.coords.take(grid.coords.length / 3), 2)))
+    val schemes = Seq(SeqScheme, WideSeqScheme(7), WideSeqScheme(64), ForkJoinScheme)
+    var windows = 0
+    for ((input, ps) <- inputs) {
+      val tree = KdTree.build(ps)
+      val euclid = Ctx.euclidean(tree)
+      val mutual = Ctx.mutualReach(tree, CoreDist.compute(tree, 10, SeqScheme))
+      val pairings = Seq(
+        ("EMST", euclid, GeometricSep(2.0), EuclidMetric),
+        ("GanTao", mutual, GeometricSep(2.0), MutualReachMetric),
+        ("HDBSCAN*-MemoGFK", mutual, MutualUnreachableSep, MutualReachMetric))
+      val fresh = new UnionFind(ps.n)
+      val joined = new UnionFind(ps.n)
+      val rnd = new java.util.Random(44)
+      (0 until ps.n / 3).foreach(i => joined.union(i, i + 1))
+      (0 until ps.n / 4).foreach(_ => joined.union(rnd.nextInt(ps.n), rnd.nextInt(ps.n)))
+      for ((name, c, sep, metric) <- pairings; uf <- Seq(fresh, joined)) {
+        val snap = uf.snapshot()
+        val comp = Wspd.nodeComponents(tree, snap)
+        val ws = Wspd.allPairs(c, sep, SeqScheme).map { case (a, b) => metric.bccp(c, a, b).w }.sorted
+        for (rhoLo <- Seq(0.0, ws(ws.length / 4), ws(ws.length / 2));
+             beta <- Seq(2L, 8L, 64L, Long.MaxValue); par <- schemes) {
+          val at = s"$input $name rhoLo=$rhoLo beta=$beta ${par.name}"
+          val want = TwoPassRound.round(c, sep, metric, beta, rhoLo, comp, snap, par)
+          val got = Wspd.round(c, sep, metric, beta, rhoLo, comp, snap, par)
+          assert(doubleToLongBits(got.rhoHi) == doubleToLongBits(want.rhoHi), at)
+          assert(got.edges.u.sameElements(want.edges.u), at)
+          assert(got.edges.v.sameElements(want.edges.v), at)
+          assert(got.edges.w.map(doubleToLongBits).sameElements(want.edges.w.map(doubleToLongBits)), at)
+          assert(got.inWindow == want.inWindow, at)
+          assert(got.bccps == want.bccps, at)
+          if (got.edges.nonEmpty && !got.rhoHi.isPosInfinity) windows += 1
+        }
+      }
+    }
+    assert(windows > 0, "no round had a finite, non-empty window")
   }
 }
 
