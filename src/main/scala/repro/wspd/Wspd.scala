@@ -151,11 +151,12 @@ case object MutualReachMetric extends Metric {
 
 /** WSPD construction and the MemoGFK round (Algorithms 1 & 3).
   *
-  * Every traversal is the one FindPair recursion of [[Walk]], run once per
-  * work item. The driver only cuts the top of the Algorithm-1 recursion into
-  * independent FindPair tasks ([[frontier]]) and combines the tasks' results
-  * by a min or a concatenation; no traversal work runs on the driver. Under
-  * `SeqScheme` the one task is the whole tree.
+  * Every traversal is the one FindPair recursion of [[Walk]]. The driver
+  * only cuts the top of the Algorithm-1 recursion into independent FindPair
+  * tasks ([[frontier]]), runs one walk per task, and combines the tasks'
+  * results by a min or a concatenation; no traversal work runs on the
+  * driver. Under `SeqScheme` the one task is the whole tree; under a wider
+  * scheme each walk also forks inside its own recursion ([[ForkGrain]]).
   */
 object Wspd {
 
@@ -184,89 +185,163 @@ object Wspd {
   @inline def ubPrunes(ubVal: Double, rhoLo: Double): Boolean =
     ubVal < rhoLo - slack(rhoLo)
 
-  /** A pending FindPair(a, b) call; `a == b` encodes a WSPD(a) split call. */
-  final case class Task(a: Int, b: Int)
+  /** Points above which a [[Walk]] under a scheme with `targetTasks > 1`
+    * forks a pair's or a split's children with `par.join2`; smaller calls
+    * recurse inline. A fork costs one task and one fresh walk, little next
+    * to the pair visits under a call of this size. A grain of 2048 or more
+    * forks a 10K-point tree only about a dozen times per round, too rarely
+    * to balance it.
+    */
+  private[wspd] val ForkGrain = 256
+
+  /** A pending FindPair(a, b) call; `a == b` encodes a WSPD(a) split call.
+    * `lbAbove` is the largest `lb` and `ubAbove` the smallest `ub` (under
+    * the round's metric) of the pairs that FindPair split on the way from
+    * the enclosing split call down to this one: -∞ and ∞ for a split call
+    * and for the cross pair of a split.
+    */
+  final case class Task(a: Int, b: Int, lbAbove: Double, ubAbove: Double)
 
   /** Cuts the Algorithm-1 recursion breadth-first into at least `target`
     * independent tasks (fewer if the recursion runs out). It prunes and
     * emits nothing: a well-separated pair stays a task, and a leaf split,
-    * which finds no pair, is dropped.
+    * which finds no pair, is dropped. Each task carries the path bounds its
+    * ancestors would have passed down, so the walks from the tasks find the
+    * ρ and emit the pairs of the one walk from the root. The walks fork on
+    * their own; the cut stays so that a round is a fan-out of items, which
+    * emstbench's trace counts (ROADMAP item 2).
     */
-  private[wspd] def frontier(c: Ctx, sep: Sep, target: Int): IndexedSeq[Task] = {
+  private[wspd] def frontier(c: Ctx, sep: Sep, metric: Metric, target: Int): IndexedSeq[Task] = {
     val t = c.tree
-    val open = scala.collection.mutable.Queue(Task(t.root, t.root))
+    val inf = Double.PositiveInfinity
+    val open = scala.collection.mutable.Queue(Task(t.root, t.root, -inf, inf))
     val done = ArrayBuffer.empty[Task]
     while (open.nonEmpty && open.size + done.size < target) {
-      val task @ Task(a, b) = open.dequeue()
+      val task @ Task(a, b, lbAbove, ubAbove) = open.dequeue()
       if (a == b) {
         if (!t.isLeaf(a))
-          open.enqueue(Task(t.left(a), t.left(a)), Task(t.right(a), t.right(a)),
-            Task(t.left(a), t.right(a)))
-      } else if (sep.wellSeparated(c, a, b, t.centerDist(a, b))) done += task
-      else {
-        // Split the node with the larger bounding sphere (Algorithm 1).
-        val (p, q) = if (t.radius(a) >= t.radius(b)) (a, b) else (b, a)
-        open.enqueue(Task(t.left(p), q), Task(t.right(p), q))
+          open.enqueue(Task(t.left(a), t.left(a), -inf, inf), Task(t.right(a), t.right(a), -inf, inf),
+            Task(t.left(a), t.right(a), -inf, inf))
+      } else {
+        val cd = t.centerDist(a, b)
+        if (sep.wellSeparated(c, a, b, cd)) done += task
+        else {
+          val lb = math.max(lbAbove, metric.lb(c, a, b, cd))
+          val ub = math.min(ubAbove, metric.ub(c, a, b, cd))
+          // Split the node with the larger bounding sphere (Algorithm 1).
+          val (p, q) = if (t.radius(a) >= t.radius(b)) (a, b) else (b, a)
+          open.enqueue(Task(t.left(p), q, lb, ub), Task(t.right(p), q, lb, ub))
+        }
       }
     }
     (done ++ open).toIndexedSeq
   }
 
+  /** Growable candidate columns: pair `(a(i), b(i))` with its path `lb`. */
+  private final class Segment {
+    var a = new Array[Int](16)
+    var b = new Array[Int](16)
+    var lb = new Array[Double](16)
+    var count = 0
+
+    def add(x: Int, y: Int, pathLb: Double): Unit = {
+      if (count == a.length) {
+        a = Arrays.copyOf(a, 2 * count)
+        b = Arrays.copyOf(b, 2 * count)
+        lb = Arrays.copyOf(lb, 2 * count)
+      }
+      a(count) = x; b(count) = y; lb(count) = pathLb
+      count += 1
+    }
+  }
+
   /** One task's FindPair recursion (Algorithm 1) in a MemoGFK round: it
-    * computes GetRho's running `rho` and collects GetPairs' candidate pairs
-    * in the same pass (see [[round]]). A pair inside one pure node (`comp`)
-    * is pruned, and every other visited pair `(a, b)` gets three values from
-    * its parent pair:
-    *   - `pathLb`, the largest `lb` from the task root down to the pair;
+    * lowers GetRho's round-wide ρ and collects GetPairs' candidate pairs in
+    * the same pass (see [[round]]). A pair inside one pure node (`comp`) is pruned,
+    * and every other visited pair `(a, b)` gets three values from its
+    * parent pair, where `bound` is the round's `shared` minimum of ρ:
+    *   - `pathLb`, the largest `lb` from the split call down to the pair;
     *   - `rhoVis`, true iff GetRho visits the pair: its parent's `rhoVis`
-    *     holds, |A| + |B| > `beta`, and `!(lb >= rho)`. A well-separated
-    *     `rhoVis` pair sets `rho` to its `lb`. `ub` never prunes it;
+    *     holds, |A| + |B| > `beta`, and `!(pathLb >= bound)`. A
+    *     well-separated `rhoVis` pair lowers `shared` to its `pathLb`.
+    *     `ub` never prunes it;
     *   - `live`, true iff its parent's `live` holds and the bounds leave it
-    *     in `[rhoLo, bound)`, where `bound` is the lower of `rho` and the
-    *     round's `shared` minimum of the tasks' `rho`s. A well-separated
-    *     `live` pair is appended to the candidate columns with its `pathLb`.
+    *     in `[rhoLo, bound)`: `pathLb` does not clear `bound` and `ub`
+    *     does not clear `rhoLo`. A well-separated `live` pair is appended
+    *     to the candidate columns with its `pathLb`.
     * The recursion stops where neither flag holds. Each visited pair's
     * center distance is computed once.
+    *
+    * Under a scheme with `targetTasks > 1`, a call on more than
+    * [[ForkGrain]] points runs its children with `par.join2`, each forked
+    * branch in a fresh walk on the same `shared`. After the join the
+    * branch's candidate segments are linked after this walk's, so the
+    * columns keep the order of the unforked recursion.
     */
   private final class Walk(c: Ctx, sep: Sep, metric: Metric, beta: Long, rhoLo: Double,
-      comp: Array[Int], shared: AtomicLong) {
+      comp: Array[Int], shared: AtomicLong, par: ParScheme) {
     private val t = c.tree
-    var rho = Double.PositiveInfinity
-    private var candA = new Array[Int](16)
-    private var candB = new Array[Int](16)
-    private var candLb = new Array[Double](16)
-    private var count = 0
+    private val forks = par.targetTasks > 1
+    private var cands = new Segment
+    /** The candidate segments in visit order; the last one is `cands`. */
+    private val segments = ArrayBuffer(cands)
 
     def run(task: Task): Unit =
       if (task.a == task.b) split(task.a)
-      else pair(task.a, task.b, Double.NegativeInfinity, rhoVisAbove = true, liveAbove = true)
+      else pair(task.a, task.b, task.lbAbove, rhoVisAbove = true,
+        liveAbove = !ubPrunes(task.ubAbove, rhoLo))
+
+    private def fresh(): Walk = new Walk(c, sep, metric, beta, rhoLo, comp, shared, par)
+
+    /** Appends `w`'s segments after this walk's and opens a new one. */
+    private def link(w: Walk): Unit = {
+      segments ++= w.segments
+      cands = new Segment
+      segments += cands
+    }
 
     private def split(a: Int): Unit =
       if (!t.isLeaf(a) && comp(a) < 0) {
-        split(t.left(a))
-        split(t.right(a))
-        pair(t.left(a), t.right(a), Double.NegativeInfinity, rhoVisAbove = true, liveAbove = true)
+        val l = t.left(a); val r = t.right(a)
+        if (forks && t.size(a) > ForkGrain) {
+          val right = fresh(); val cross = fresh()
+          par.join2(split(l), par.join2(right.split(r),
+            cross.pair(l, r, Double.NegativeInfinity, rhoVisAbove = true, liveAbove = true)))
+          link(right)
+          link(cross)
+        } else {
+          split(l)
+          split(r)
+          pair(l, r, Double.NegativeInfinity, rhoVisAbove = true, liveAbove = true)
+        }
       }
 
     private def pair(a: Int, b: Int, lbAbove: Double, rhoVisAbove: Boolean, liveAbove: Boolean): Unit =
       if (comp(a) < 0 || comp(a) != comp(b)) {
         val cd = t.centerDist(a, b)
-        val lb = metric.lb(c, a, b, cd)
-        val rhoVis = rhoVisAbove && t.size(a).toLong + t.size(b) > beta && !(lb >= rho)
-        val live = liveAbove && !lbPrunes(lb, math.min(rho, longBitsToDouble(shared.get))) &&
-          !ubPrunes(metric.ub(c, a, b, cd), rhoLo)
+        val pathLb = math.max(lbAbove, metric.lb(c, a, b, cd))
+        val bound = longBitsToDouble(shared.get)
+        val size = t.size(a).toLong + t.size(b)
+        val rhoVis = rhoVisAbove && size > beta && !(pathLb >= bound)
+        val live = liveAbove && !lbPrunes(pathLb, bound) && !ubPrunes(metric.ub(c, a, b, cd), rhoLo)
         if (rhoVis || live) {
-          val pathLb = math.max(lbAbove, lb)
           if (sep.wellSeparated(c, a, b, cd)) {
-            if (rhoVis) { rho = lb; publish(lb) }
-            if (live) add(a, b, pathLb)
+            if (rhoVis) publish(pathLb)
+            if (live) cands.add(a, b, pathLb)
           } else {
             // Split the node with the larger bounding sphere (Algorithm 1).
             val splitA = t.radius(a) >= t.radius(b)
             val p = if (splitA) a else b
             val q = if (splitA) b else a
-            pair(t.left(p), q, pathLb, rhoVis, live)
-            pair(t.right(p), q, pathLb, rhoVis, live)
+            if (forks && size > ForkGrain) {
+              val right = fresh()
+              par.join2(pair(t.left(p), q, pathLb, rhoVis, live),
+                right.pair(t.right(p), q, pathLb, rhoVis, live))
+              link(right)
+            } else {
+              pair(t.left(p), q, pathLb, rhoVis, live)
+              pair(t.right(p), q, pathLb, rhoVis, live)
+            }
           }
         }
       }
@@ -278,17 +353,8 @@ object Wspd {
         cur = shared.get
     }
 
-    private def add(a: Int, b: Int, pathLb: Double): Unit = {
-      if (count == candA.length) {
-        candA = Arrays.copyOf(candA, 2 * count)
-        candB = Arrays.copyOf(candB, 2 * count)
-        candLb = Arrays.copyOf(candLb, 2 * count)
-      }
-      candA(count) = a; candB(count) = b; candLb(count) = pathLb
-      count += 1
-    }
-
-    def pairs: IndexedSeq[(Int, Int)] = IndexedSeq.tabulate(count)(i => (candA(i), candB(i)))
+    def pairs: IndexedSeq[(Int, Int)] =
+      segments.toIndexedSeq.flatMap(s => IndexedSeq.tabulate(s.count)(i => (s.a(i), s.b(i))))
 
     /** GetPairs' emits among the candidates, in visit order: those whose
       * `pathLb` does not clear `rhoHi`. Returns the kept edges, the number
@@ -298,42 +364,45 @@ object Wspd {
       val out = new EdgeBatch.Builder
       var inWindow = 0L
       var bccps = 0L
-      var i = 0
-      while (i < count) {
-        if (!lbPrunes(candLb(i), rhoHi)) {
-          // Bounds may not exclude the pair, but the exact BCCP decides.
-          val e = metric.bccp(c, candA(i), candB(i))
-          bccps += 1
-          if (e.w >= rhoLo && e.w < rhoHi) {
-            inWindow += 1
-            if (snap(e.u) != snap(e.v)) out.add(e.u, e.v, e.w)
+      for (s <- segments) {
+        var i = 0
+        while (i < s.count) {
+          if (!lbPrunes(s.lb(i), rhoHi)) {
+            // Bounds may not exclude the pair, but the exact BCCP decides.
+            val e = metric.bccp(c, s.a(i), s.b(i))
+            bccps += 1
+            if (e.w >= rhoLo && e.w < rhoHi) {
+              inWindow += 1
+              if (snap(e.u) != snap(e.v)) out.add(e.u, e.v, e.w)
+            }
           }
+          i += 1
         }
-        i += 1
       }
       (out.result(), inWindow, bccps)
     }
   }
 
-  /** Runs a [[Walk]] on every [[frontier]] task under `par`, in task order. */
+  /** Runs a [[Walk]] on every [[frontier]] task under `par`, in task order,
+    * all on `shared`, which should start at ∞.
+    */
   private def walks(c: Ctx, sep: Sep, metric: Metric, beta: Long, rhoLo: Double,
-      comp: Array[Int], par: ParScheme): IndexedSeq[Walk] = {
-    val shared = new AtomicLong(doubleToLongBits(Double.PositiveInfinity))
-    par.mapItems(frontier(c, sep, par.targetTasks)) { task =>
-      val w = new Walk(c, sep, metric, beta, rhoLo, comp, shared)
+      comp: Array[Int], shared: AtomicLong, par: ParScheme): IndexedSeq[Walk] =
+    par.mapItems(frontier(c, sep, metric, par.targetTasks)) { task =>
+      val w = new Walk(c, sep, metric, beta, rhoLo, comp, shared, par)
       w.run(task)
       w
     }
-  }
 
   /** Full WSPD of the tree (Algorithm 1): every well-separated pair under
     * `sep`, in task order. It is [[Walk]] with the window open: no pair's
-    * cardinality exceeds `Long.MaxValue`, so `rho` stays infinite, `rhoLo`
-    * is -∞, and no node is pure.
+    * cardinality exceeds `Long.MaxValue`, so ρ stays infinite, `rhoLo` is
+    * -∞, and no node is pure.
     */
   def allPairs(c: Ctx, sep: Sep, par: ParScheme): IndexedSeq[(Int, Int)] =
     walks(c, sep, EuclidMetric, Long.MaxValue, Double.NegativeInfinity,
-      Array.fill(c.tree.nNodes)(-1), par).flatMap(_.pairs)
+      Array.fill(c.tree.nNodes)(-1), new AtomicLong(doubleToLongBits(Double.PositiveInfinity)), par)
+      .flatMap(_.pairs)
 
   /** Per-node union-find purity: `nodeComp(a)` is the component root if all
     * points under `a` share one component, else -1. Recomputed each GFK
@@ -370,12 +439,14 @@ object Wspd {
     * pairs that are not yet connected in `snap`, the round's union-find
     * snapshot; `comp` is its [[nodeComponents]].
     *
-    * GetRho: `rhoHi` is a lower bound on the weight of every edge that such
-    * a pair of cardinality greater than `beta` can produce, infinity if no
-    * such pair remains. The sphere `lb` is not monotone under kd-tree
-    * refinement, so the value (always the `lb` of one such pair) depends on
-    * the visit order, hence on `par.targetTasks`; every value it can take is
-    * a valid bound.
+    * GetRho: `rhoHi` is the smallest path `lb` of such a pair of
+    * cardinality greater than `beta`, infinity if no such pair remains. A
+    * pair's path `lb` is the largest `lb` of the pairs FindPair visits from
+    * its split call down to it, so it bounds the weight of every edge the
+    * pair can produce, and it never falls along a path. The value is
+    * therefore one number, whatever the visit order, the frontier width or
+    * the threads' timing: pruning a pair whose path `lb` is at least the
+    * smallest found so far can only drop pairs that cannot go below it.
     *
     * GetPairs: the BCCP edges of such pairs whose weight falls in
     * `[rhoLo, rhoHi)`, pruning subtrees whose bounds put them out of range
@@ -389,8 +460,9 @@ object Wspd {
     * does not clear `rhoHi`. A second fan-out over the same tasks keeps
     * those and computes their BCCPs, in the order of a GetPairs traversal
     * run after GetRho; the round concatenates the tasks' kept edges into one
-    * batch, in task order. Only the number of candidates depends on the
-    * tasks' timing, through the shared minimum.
+    * batch, in task order. `rhoHi`, the edges and both counts are the same
+    * at every width; only the number of candidates, which nothing reports,
+    * depends on the timing.
     */
   def round(
       c: Ctx,
@@ -402,8 +474,9 @@ object Wspd {
       snap: Array[Int],
       par: ParScheme,
   ): PairsRound = {
-    val ws = walks(c, sep, metric, beta, rhoLo, comp, par)
-    val rhoHi = ws.foldLeft(Double.PositiveInfinity)((r, w) => math.min(r, w.rho))
+    val shared = new AtomicLong(doubleToLongBits(Double.PositiveInfinity))
+    val ws = walks(c, sep, metric, beta, rhoLo, comp, shared, par)
+    val rhoHi = longBitsToDouble(shared.get)
     val parts = par.mapItems(ws)(_.emits(rhoHi, snap))
     PairsRound(rhoHi, EdgeBatch.concat(parts.map(_._1)), parts.map(_._2).sum, parts.map(_._3).sum)
   }

@@ -114,13 +114,13 @@ class EmstSpec extends AnyFunSuite {
     }
   }
 
-  // Pinned traversal work: any change to the separation test, the bounds or
-  // the visit order that shifts MemoGFK's pruning moves these counts, even
-  // where the MST stays the same.
+  // Pinned traversal work: any change to the separation test or the bounds
+  // that shifts MemoGFK's pruning moves these counts, even where the MST
+  // stays the same. The visit order does not: they are equal at every width.
   test("EMST-MemoGFK does the pinned amount of work on a 5D uniform set") {
     val r = EmstMemoGfk.mst(Generators.uniformFill(2000, 5, 5), SeqScheme)
-    assert(r.stats == MstStats(pairsMaterialized = 13226, peakLivePairs = 12568,
-      bccpComputed = 30603, rounds = 4))
+    assert(r.stats == MstStats(pairsMaterialized = 14611, peakLivePairs = 13953,
+      bccpComputed = 34225, rounds = 4))
     assert(TestUtil.weightOf(r.edges) == 14935.456983427814)
   }
 }

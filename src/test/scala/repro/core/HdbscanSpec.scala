@@ -188,11 +188,11 @@ class HdbscanSpec extends AnyFunSuite {
   }
 
   // Pinned traversal work (see EmstSpec): the counts move with any change
-  // to the separation test, the bounds or the visit order.
+  // to the separation test or the bounds, and are equal at every width.
   test("HDBSCAN*-MemoGFK does the pinned amount of work on a 2D uniform set") {
     val r = Hdbscan.mst(Generators.uniformFill(3000, 2, 5), 10, MemoGfk, SeqScheme).mst
-    assert(r.stats == MstStats(pairsMaterialized = 13226, peakLivePairs = 12991,
-      bccpComputed = 15090, rounds = 5))
+    assert(r.stats == MstStats(pairsMaterialized = 13224, peakLivePairs = 12930,
+      bccpComputed = 15118, rounds = 5))
     assert(TestUtil.weightOf(r.edges) == 5157.614987674511)
   }
 }

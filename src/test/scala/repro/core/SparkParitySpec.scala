@@ -136,6 +136,29 @@ class SparkParitySpec extends AnyFunSuite {
     }
   }
 
+  /** Each width input, plus a small one whose counts, before GetRho took
+    * the path `lb`, differed between the sequential run and every width of
+    * 7 or more (2 to 64 for HDBSCAN*).
+    */
+  private val invarianceInputs = widthInputs :+ ("uniform 2D, 500", Generators.uniformFill(500, 2, 4))
+
+  test("MemoGFK and HDBSCAN* do the same work and return the same edges at every width") {
+    val schemes = Seq(SeqScheme, WideSeqScheme(2), WideSeqScheme(7), WideSeqScheme(64), par)
+    val runs: Seq[(String, (PointSet, ParScheme) => MstResult)] = Seq(
+      ("EMST-MemoGFK", (ps, p) => EmstMemoGfk.mst(ps, p)),
+      ("HDBSCAN*-GanTao", (ps, p) => Hdbscan.mst(ps, 10, GanTao, p).mst),
+      ("HDBSCAN*-MemoGFK", (ps, p) => Hdbscan.mst(ps, 10, MemoGfk, p).mst))
+    for ((input, ps) <- invarianceInputs; (name, run) <- runs) {
+      val want = run(ps, SeqScheme)
+      for (p <- schemes.tail) {
+        val got = run(ps, p)
+        // Every count, and the ordered edges with their orientation.
+        assert(got.stats == want.stats, s"$name on $input, ${p.name}")
+        assert(got.edges == want.edges, s"$name on $input, ${p.name}")
+      }
+    }
+  }
+
   test("fork-join WSPD traversals return the one-thread results in task order") {
     for ((input, ps) <- widthInputs) {
       val tree = KdTree.build(ps)

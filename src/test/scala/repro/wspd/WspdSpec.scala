@@ -136,20 +136,54 @@ class WspdSpec extends AnyFunSuite {
     }
   }
 
+  /** The sequential WSPD recursion (Algorithm 1) under `sep`: every
+    * well-separated pair with its path `lb` under `metric`, the largest
+    * `lb` of the pairs FindPair visits from the pair's split call down to
+    * it, in visit order.
+    */
+  private def pathLbPairs(c: Ctx, sep: Sep, metric: Metric): IndexedSeq[(Int, Int, Double)] = {
+    val t = c.tree
+    val out = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Double)]
+    def pair(a: Int, b: Int, lbAbove: Double): Unit = {
+      val cd = t.centerDist(a, b)
+      val pathLb = math.max(lbAbove, metric.lb(c, a, b, cd))
+      if (sep.wellSeparated(c, a, b, cd)) out += ((a, b, pathLb))
+      else if (t.radius(a) >= t.radius(b)) { pair(t.left(a), b, pathLb); pair(t.right(a), b, pathLb) }
+      else { pair(t.left(b), a, pathLb); pair(t.right(b), a, pathLb) }
+    }
+    def split(a: Int): Unit =
+      if (!t.isLeaf(a)) {
+        split(t.left(a)); split(t.right(a)); pair(t.left(a), t.right(a), Double.NegativeInfinity)
+      }
+    split(t.root)
+    out.toIndexedSeq
+  }
+
+  /** The pairs of [[pathLbPairs]] with more than `beta` points that are
+    * not inside one pure node of `comp`.
+    */
+  private def largeUnconnected(c: Ctx, sep: Sep, metric: Metric, beta: Long,
+      comp: Array[Int]): IndexedSeq[(Int, Int, Double)] =
+    pathLbPairs(c, sep, metric).filter { case (a, b, _) =>
+      c.tree.size(a).toLong + c.tree.size(b) > beta && !(comp(a) >= 0 && comp(a) == comp(b))
+    }
+
   test("getRho equals the brute-force minimum over large unconnected pairs") {
-    val c = euclidCtx(90, 2, 11)
-    val uf = new UnionFind(90)
-    val snap = uf.snapshot()
-    val comp = Wspd.nodeComponents(c.tree, snap)
-    val all = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme)
-    for (beta <- Seq(2L, 8L, 64L)) {
-      val brute = all
-        .filter { case (a, b) => c.tree.size(a).toLong + c.tree.size(b) > beta }
-        .map { case (a, b) => EuclidMetric.lb(c, a, b, c.tree.centerDist(a, b)) }
-      val want = if (brute.isEmpty) Double.PositiveInfinity else brute.min
-      val got = Wspd.round(c, GeometricSep(2.0), EuclidMetric, beta, 0.0, comp, snap, SeqScheme).rhoHi
-      assert(math.abs(got - want) < 1e-12 || (got.isPosInfinity && want.isPosInfinity),
-        s"beta=$beta got=$got want=$want")
+    // The minimum of the path lb, bit for bit, at every width and under
+    // both metrics.
+    for (n <- Seq(1, 2, 90, 400); beta <- Seq(2L, 8L, 64L)) {
+      val (c, snap, comp) = partlyJoined(n)
+      val mc = Ctx.mutualReach(c.tree, TestUtil.bruteCoreDist(c.tree.points, math.min(5, n)))
+      for ((ctx, sep, metric) <- Seq((c, GeometricSep(2.0), EuclidMetric),
+          (mc, MutualUnreachableSep, MutualReachMetric))) {
+        val want = largeUnconnected(ctx, sep, metric, beta, comp)
+          .foldLeft(Double.PositiveInfinity)((r, p) => math.min(r, p._3))
+        for (par <- SeqScheme +: ForkJoinScheme +: wideSchemes) {
+          val got = Wspd.round(ctx, sep, metric, beta, 0.0, comp, snap, par).rhoHi
+          assert(doubleToLongBits(got) == doubleToLongBits(want),
+            s"n=$n beta=$beta $metric ${par.name} got=$got want=$want")
+        }
+      }
     }
   }
 
@@ -247,23 +281,21 @@ class WspdSpec extends AnyFunSuite {
   test("getPairs at every frontier width equals the sequential round") {
     for (n <- Seq(1, 2, 90, 400)) {
       val (c, snap, comp) = partlyJoined(n)
-      // Edges only: the sphere lb is not monotone under refinement, so a
-      // wide frontier can emit descendants of a pair the sequential run
-      // pruned, and count more BCCPs; their edges fall outside the window.
-      // For the same reason `rhoHi` can differ between widths, so each
-      // width's edges are also checked by brute force at its own `rhoHi`.
       def round(lo: Double, beta: Long, par: ParScheme) =
         Wspd.round(c, GeometricSep(2.0), EuclidMetric, beta, lo, comp, snap, par)
       val ws = round(0.0, openBeta, SeqScheme).edges.sorted.map(_.w)
       val partial = if (ws.isEmpty) (0.0, 8L) else (ws(ws.length / 4), 8L)
       for ((lo, beta) <- Seq((0.0, openBeta), partial)) {
         val want = round(lo, beta, SeqScheme)
-        for (par <- wideSchemes) {
+        assert(want.edges.sorted ==
+          bruteRound(c, GeometricSep(2.0), EuclidMetric, lo, want.rhoHi, comp, snap)._2)
+        for (par <- ForkJoinScheme +: wideSchemes) {
           val at = s"n=$n lo=$lo beta=$beta ${par.name}"
           val got = round(lo, beta, par)
-          if (got.rhoHi == want.rhoHi) assert(got.edges.sorted == want.edges.sorted, at)
-          assert(got.edges.sorted ==
-            bruteRound(c, GeometricSep(2.0), EuclidMetric, lo, got.rhoHi, comp, snap)._2, at)
+          assert(doubleToLongBits(got.rhoHi) == doubleToLongBits(want.rhoHi), at)
+          assert(got.edges.sorted == want.edges.sorted, at)
+          assert(got.inWindow == want.inWindow, at)
+          assert(got.bccps == want.bccps, at)
         }
       }
     }
@@ -299,21 +331,21 @@ class WspdSpec extends AnyFunSuite {
   }
 
   test("getRho at every frontier width is the lb of a large unconnected pair and bounds their BCCPs") {
-    // Not equal across widths: the sphere lb is not monotone under
-    // refinement, so the `lb >= rho` prune depends on the visit order.
     for (n <- Seq(1, 2, 90, 400); beta <- Seq(2L, 8L, 64L)) {
       val (c, snap, comp) = partlyJoined(n)
-      val large = Wspd.allPairs(c, GeometricSep(2.0), SeqScheme).filter { case (a, b) =>
-        c.tree.size(a).toLong + c.tree.size(b) > beta && !(comp(a) >= 0 && comp(a) == comp(b))
-      }
-      for (par <- SeqScheme +: wideSchemes) {
+      val large = largeUnconnected(c, GeometricSep(2.0), EuclidMetric, beta, comp)
+      val want = Wspd.round(c, GeometricSep(2.0), EuclidMetric, beta, 0.0, comp, snap, SeqScheme).rhoHi
+      for (par <- ForkJoinScheme +: wideSchemes) {
         val rho = Wspd.round(c, GeometricSep(2.0), EuclidMetric, beta, 0.0, comp, snap, par).rhoHi
-        val at = s"n=$n beta=$beta ${par.name} rho=$rho"
-        if (large.isEmpty) assert(rho.isPosInfinity, at)
-        else {
-          assert(large.exists { case (a, b) => math.abs(EuclidMetric.lb(c, a, b, c.tree.centerDist(a, b)) - rho) < 1e-9 }, at)
-          large.foreach { case (a, b) => assert(rho <= EuclidMetric.bccp(c, a, b).w + 1e-9, at) }
-        }
+        assert(doubleToLongBits(rho) == doubleToLongBits(want), s"n=$n beta=$beta ${par.name}")
+      }
+      val at = s"n=$n beta=$beta rho=$want"
+      if (large.isEmpty) assert(want.isPosInfinity, at)
+      else {
+        // The path lb of a large pair is the lb of one of the pairs FindPair
+        // split on the way down to it, each as large and as unconnected.
+        assert(large.exists(_._3 == want), at)
+        large.foreach { case (a, b, _) => assert(want <= EuclidMetric.bccp(c, a, b).w + 1e-9, at) }
       }
     }
   }
