@@ -159,6 +159,26 @@ class WspdSpec extends AnyFunSuite {
     out.toIndexedSeq
   }
 
+  /** The distinct Euclidean `ub`s of the pairs the sequential WSPD
+    * recursion splits (those not well-separated under s = 2), sorted.
+    */
+  private def splitUbs(c: Ctx): IndexedSeq[Double] = {
+    val t = c.tree
+    val out = scala.collection.mutable.ArrayBuffer.empty[Double]
+    def pair(a: Int, b: Int): Unit = {
+      val cd = t.centerDist(a, b)
+      if (!GeometricSep(2.0).wellSeparated(c, a, b, cd)) {
+        out += EuclidMetric.ub(c, a, b, cd)
+        if (t.radius(a) >= t.radius(b)) { pair(t.left(a), b); pair(t.right(a), b) }
+        else { pair(t.left(b), a); pair(t.right(b), a) }
+      }
+    }
+    def split(a: Int): Unit =
+      if (!t.isLeaf(a)) { split(t.left(a)); split(t.right(a)); pair(t.left(a), t.right(a)) }
+    split(t.root)
+    out.distinct.sorted.toIndexedSeq
+  }
+
   /** The pairs of [[pathLbPairs]] with more than `beta` points that are
     * not inside one pure node of `comp`.
     */
@@ -285,7 +305,12 @@ class WspdSpec extends AnyFunSuite {
         Wspd.round(c, GeometricSep(2.0), EuclidMetric, beta, lo, comp, snap, par)
       val ws = round(0.0, openBeta, SeqScheme).edges.sorted.map(_.w)
       val partial = if (ws.isEmpty) (0.0, 8L) else (ws(ws.length / 4), 8L)
-      for ((lo, beta) <- Seq((0.0, openBeta), partial)) {
+      // Windows starting just above the `ub` of a pair FindPair splits: a
+      // descendant's sphere can poke out of its ancestor's, so its own `ub`
+      // may not prune it, and only the ancestor's `ub`, which a frontier
+      // task inherits, keeps its BCCP from being computed.
+      val justAboveUb = splitUbs(c).grouped(8).map(g => (g.head * (1 + 1e-6) + 1e-6, openBeta))
+      for ((lo, beta) <- Seq((0.0, openBeta), partial) ++ justAboveUb) {
         val want = round(lo, beta, SeqScheme)
         assert(want.edges.sorted ==
           bruteRound(c, GeometricSep(2.0), EuclidMetric, lo, want.rhoHi, comp, snap)._2)
